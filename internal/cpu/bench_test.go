@@ -32,7 +32,7 @@ func benchRunner(b testing.TB, appName string) *Runner {
 // BenchmarkRunnerRun measures end-to-end simulated instructions per
 // second of the bandit loop (b.N instructions per iteration batch).
 func BenchmarkRunnerRun(b *testing.B) {
-	for _, app := range []string{"lbm17", "omnetpp17"} {
+	for _, app := range []string{"lbm17", "omnetpp17", "cactuBSSN"} {
 		b.Run(app, func(b *testing.B) {
 			r := benchRunner(b, app)
 			r.Run(200_000) // warmup: tables and queues reach steady state

@@ -62,9 +62,9 @@ type L2AccessFunc func(pc, addr uint64, hit bool, cycle int64)
 // event (L2 demand accesses, and through them bandit steps, telemetry
 // windows, and fault activations) fires from loads and stores only, so
 // memory-free spans are advanced without touching the hierarchy or the
-// event hooks at all. Both loops replicate stepInst's arithmetic
-// exactly; the differential tests pin chunked against scalar execution
-// bit-for-bit.
+// event hooks at all. Both loops share one copy of the window arithmetic
+// (admit and commit); golden fingerprints in testdata pin the simulated
+// results bit-for-bit.
 type Core struct {
 	cfg  Config
 	hier *mem.Hierarchy
@@ -90,24 +90,22 @@ type Core struct {
 	ffInsts  int64       // instructions advanced by the memory-free lean pass
 
 	// phaseN is the stream position phase probes evaluate at: the number
-	// of instructions the model has begun executing. The scalar path read
-	// the generator's mutable phase state mid-instruction, which equals
-	// insts+1 there; chunked generation runs ahead, so Phase recomputes
-	// from this count instead.
+	// of instructions the model has begun executing (insts+1 while an
+	// instruction executes). Chunked generation runs ahead of it, so
+	// Phase computes the phase from this count, never from generator
+	// state.
 	phaseN int64
 
-	// inst is the scratch decode target handed to gen.Next. Passing a
-	// stack variable's address through the Generator interface makes it
-	// escape — one heap allocation per simulated instruction — so the
-	// scratch lives here instead. Every Generator fully overwrites it.
-	inst trace.Inst
+	// latency is the execution latency of each non-memory kind: FP ops
+	// take FPLatency, everything else ALULatency. It is indexed by
+	// kind&7, which lets the compiler drop the bounds check.
+	latency [8]int64
+	// redirects holds FlagMispredict for KindBranch and 0 for every other
+	// kind (same indexing), so only a mispredicted branch redirects fetch.
+	redirects [8]uint8
 
 	// OnL2Access, when set, is invoked for every L2 demand access.
 	OnL2Access L2AccessFunc
-
-	// scalar forces the pre-chunking reference path; set only by the
-	// differential tests.
-	scalar bool
 }
 
 // New builds a core over the given hierarchy and trace generator.
@@ -115,8 +113,14 @@ func New(cfg Config, hier *mem.Hierarchy, gen trace.Generator) *Core {
 	if cfg.FetchWidth < 1 || cfg.CommitWidth < 1 || cfg.ROBSize < 1 {
 		panic("cpu: widths and ROB size must be positive")
 	}
-	return &Core{cfg: cfg, hier: hier, gen: gen, src: trace.SourceOf(gen),
+	c := &Core{cfg: cfg, hier: hier, gen: gen, src: trace.SourceOf(gen),
 		rob: make([]int64, cfg.ROBSize)}
+	for k := range c.latency {
+		c.latency[k] = cfg.ALULatency
+	}
+	c.latency[trace.KindFP] = cfg.FPLatency
+	c.redirects[trace.KindBranch] = trace.FlagMispredict
+	return c
 }
 
 // Hier returns the core's memory hierarchy.
@@ -129,16 +133,12 @@ func (c *Core) Hier() *mem.Hierarchy { return c.hier }
 func (c *Core) Gen() trace.Generator { return c.gen }
 
 // Phase reports the program phase governing the instruction the model is
-// executing (the context-signature input). For phase-structured traces
-// it is a pure function of the stream position, so it stays correct —
-// and identical to the scalar path's mid-instruction generator probe —
-// while chunked generation runs ahead.
+// executing (the context-signature input): PhaseAt of the stream
+// position for phase-structured traces, else 0. It never reads generator
+// state, which runs up to a chunk ahead of the simulation.
 func (c *Core) Phase() int {
 	if pa, ok := c.gen.(trace.PhaseAtter); ok {
 		return pa.PhaseAt(c.phaseN)
-	}
-	if pg, ok := c.gen.(interface{ Phase() int }); ok {
-		return pg.Phase()
 	}
 	return 0
 }
@@ -183,10 +183,6 @@ func (c *Core) IPC() float64 {
 // persists across calls, so interleaved callers (RunCtx chunking,
 // multi-core timestamp-ordered stepping) see the same stream.
 func (c *Core) RunInsts(n int64) {
-	if c.scalar {
-		c.runInstsScalar(n)
-		return
-	}
 	for n > 0 {
 		if c.chunkPos == c.chunk.Len() {
 			c.chunk.Reset(trace.ChunkLen)
@@ -229,84 +225,88 @@ func (c *Core) runSpan(lo, hi int) {
 	c.chunkPos = hi
 }
 
+// admit is the dispatch half of the window model, shared by every
+// instruction: at most fetchWidth instructions dispatch per cycle, and a
+// full ROB stalls dispatch until its head retires, which frees the head
+// entry. It returns the dispatch cycle, the slots used in that cycle
+// counting this instruction's, and the updated ROB head and occupancy.
+func admit(cycle int64, slot, fetchWidth int, rob []int64, head, count int) (int64, int, int, int) {
+	if slot >= fetchWidth {
+		cycle++
+		slot = 0
+	}
+	if count == len(rob) {
+		if h := rob[head]; h > cycle {
+			cycle = h
+			slot = 0
+		}
+		head++
+		if head == len(rob) {
+			head = 0
+		}
+		count--
+	}
+	return cycle, slot + 1, head, count
+}
+
+// commit is the retire half of the window model: the instruction
+// completing at complete retires in order, at most commitWidth per
+// cycle, and takes the ROB tail entry. It returns its retire cycle, the
+// number of commits already assigned to that cycle, and the new ROB
+// occupancy. The update is written as maxes and conditional moves, so
+// the host does not branch on the simulated timing.
+func commit(complete, lastRetire int64, retireCount, commitWidth int, rob []int64, head, count int) (int64, int, int) {
+	retire := max(complete, lastRetire)
+	retireCount++
+	if retire != lastRetire {
+		retireCount = 1
+	}
+	var over int64
+	if retireCount > commitWidth {
+		over = 1
+	}
+	retire += over
+	if over != 0 {
+		retireCount = 1
+	}
+	tail := head + count
+	if tail >= len(rob) {
+		tail -= len(rob)
+	}
+	rob[tail] = retire
+	return retire, retireCount, count + 1
+}
+
 // leanSpan fast-forwards the window model over slab instructions
-// [lo, hi), none of which is a load or store. The arithmetic replicates
-// stepInst case by case; what is skipped is everything that cannot
-// happen here — hierarchy accesses, load serialization, and the
-// OnL2Access hook (so no bandit step, telemetry window, arm activation,
-// or fault event can fire inside the span; mispredict redirects are pure
-// window arithmetic and are handled in full).
+// [lo, hi), none of which is a load or store. What is skipped is
+// everything that cannot happen here — hierarchy accesses, load
+// serialization, and the OnL2Access hook (so no bandit step, telemetry
+// window, arm activation, or fault event can fire inside the span;
+// mispredict redirects are pure window arithmetic and are handled in
+// full). Latency and redirect come from per-kind tables, so the random
+// FP/ALU/branch mix costs the host no mispredicted branches.
 func (c *Core) leanSpan(lo, hi int) {
-	kinds := c.chunk.Kind
-	flags := c.chunk.Flags
+	kinds := c.chunk.Kind[:hi]
+	flags := c.chunk.Flags[:hi]
 	// Hoist the window state into locals: nothing inside the loop can
 	// observe the fields, so the compiler is free of aliasing reloads and
 	// the state lives in registers across the span.
 	rob := c.rob
-	robLen := len(rob)
 	cycle, slot := c.cycle, c.slot
 	robHead, robCount := c.robHead, c.robCount
 	lastRetire, retireCount := c.lastRetire, c.retireCount
-	fetchWidth := c.cfg.FetchWidth
-	aluLat, fpLat := c.cfg.ALULatency, c.cfg.FPLatency
-	commitWidth := c.cfg.CommitWidth
+	fetchWidth, commitWidth := c.cfg.FetchWidth, c.cfg.CommitWidth
 	mispredict := c.cfg.MispredictPenalty
-	for i := lo; i < hi; i++ {
-		// Dispatch bandwidth.
-		if slot >= fetchWidth {
-			cycle++
-			slot = 0
-		}
-		// Window: a full ROB stalls dispatch until the head retires.
-		if robCount == robLen {
-			if head := rob[robHead]; head > cycle {
-				cycle = head
-				slot = 0
-			}
-			robHead++
-			if robHead == robLen {
-				robHead = 0
-			}
-			robCount--
-		}
-
-		complete := cycle + aluLat
-		redirect := false
-		switch kinds[i] {
-		case trace.KindFP:
-			complete = cycle + fpLat
-		case trace.KindBranch:
-			redirect = flags[i]&trace.FlagMispredict != 0
-		}
-
-		// In-order retirement at CommitWidth per cycle.
-		retire := complete
-		if retire < lastRetire {
-			retire = lastRetire
-		}
-		if retire == lastRetire {
-			if retireCount >= commitWidth {
-				retire++
-				retireCount = 1
-			} else {
-				retireCount++
-			}
-		} else {
-			retireCount = 1
-		}
-		lastRetire = retire
-
-		tail := robHead + robCount
-		if tail >= robLen {
-			tail -= robLen
-		}
-		rob[tail] = retire
-		robCount++
-		slot++
-
-		if redirect {
-			next := complete + mispredict
-			if next > cycle {
+	latency, redirects := &c.latency, &c.redirects
+	for i := lo; i < len(kinds); i++ {
+		cycle, slot, robHead, robCount = admit(cycle, slot, fetchWidth, rob, robHead, robCount)
+		k := kinds[i] & 7
+		complete := cycle + latency[k]
+		lastRetire, retireCount, robCount = commit(complete, lastRetire, retireCount, commitWidth, rob, robHead, robCount)
+		if flags[i]&redirects[k] != 0 {
+			// Fetch resumes after the branch resolves plus the refill
+			// delay.
+			if next := complete + mispredict; next > cycle {
 				cycle = next
 				slot = 0
 			}
@@ -320,27 +320,12 @@ func (c *Core) leanSpan(lo, hi int) {
 }
 
 // stepMemAt dispatches, executes, and schedules retirement for the load
-// or store at slab index i — stepInst's memory cases over the slab.
+// or store at slab index i.
 func (c *Core) stepMemAt(i int) {
 	c.phaseN = c.insts + 1
-
-	if c.slot >= c.cfg.FetchWidth {
-		c.cycle++
-		c.slot = 0
-	}
-	if c.robCount == len(c.rob) {
-		if head := c.rob[c.robHead]; head > c.cycle {
-			c.cycle = head
-			c.slot = 0
-		}
-		c.robHead++
-		if c.robHead == len(c.rob) {
-			c.robHead = 0
-		}
-		c.robCount--
-	}
-
+	c.cycle, c.slot, c.robHead, c.robCount = admit(c.cycle, c.slot, c.cfg.FetchWidth, c.rob, c.robHead, c.robCount)
 	dispatch := c.cycle
+
 	var complete int64
 	addr := c.chunk.Addr[i]
 	if c.chunk.Kind[i] == trace.KindLoad {
@@ -364,135 +349,6 @@ func (c *Core) stepMemAt(i int) {
 		}
 	}
 
-	retire := complete
-	if retire < c.lastRetire {
-		retire = c.lastRetire
-	}
-	if retire == c.lastRetire {
-		if c.retireCount >= c.cfg.CommitWidth {
-			retire++
-			c.retireCount = 1
-		} else {
-			c.retireCount++
-		}
-	} else {
-		c.retireCount = 1
-	}
-	c.lastRetire = retire
-
-	tail := c.robHead + c.robCount
-	if tail >= len(c.rob) {
-		tail -= len(c.rob)
-	}
-	c.rob[tail] = retire
-	c.robCount++
-	c.slot++
+	c.lastRetire, c.retireCount, c.robCount = commit(complete, c.lastRetire, c.retireCount, c.cfg.CommitWidth, c.rob, c.robHead, c.robCount)
 	c.insts++
-}
-
-// runInstsScalar is the pre-chunking reference implementation: one
-// Generator.Next call per instruction. The differential tests pin the
-// epoch-batched path against it; production callers use RunInsts.
-func (c *Core) runInstsScalar(n int64) {
-	for i := int64(0); i < n; i++ {
-		c.stepInst()
-	}
-}
-
-// stepInst dispatches, executes, and schedules retirement for one
-// instruction.
-func (c *Core) stepInst() {
-	c.gen.Next(&c.inst)
-	inst := &c.inst
-	c.phaseN = c.insts + 1
-
-	// Dispatch bandwidth.
-	if c.slot >= c.cfg.FetchWidth {
-		c.cycle++
-		c.slot = 0
-	}
-	// Window: a full ROB stalls dispatch until the head retires.
-	if c.robCount == len(c.rob) {
-		if head := c.rob[c.robHead]; head > c.cycle {
-			c.cycle = head
-			c.slot = 0
-		}
-		c.robHead++
-		if c.robHead == len(c.rob) {
-			c.robHead = 0
-		}
-		c.robCount--
-	}
-
-	dispatch := c.cycle
-	var complete int64
-	redirect := false
-
-	switch inst.Kind {
-	case trace.KindALU:
-		complete = dispatch + c.cfg.ALULatency
-	case trace.KindFP:
-		complete = dispatch + c.cfg.FPLatency
-	case trace.KindBranch:
-		complete = dispatch + c.cfg.ALULatency
-		redirect = inst.Mispredict
-	case trace.KindLoad:
-		issue := dispatch
-		if inst.DependsOnPrev && c.lastLoadDone > issue {
-			issue = c.lastLoadDone // pointer chase serializes
-		}
-		res := c.hier.Access(inst.Addr, false, issue)
-		complete = res.Done
-		c.lastLoadDone = complete
-		if res.L2Access && c.OnL2Access != nil {
-			c.OnL2Access(inst.PC, inst.Addr, res.L2Hit, issue)
-		}
-	case trace.KindStore:
-		res := c.hier.Access(inst.Addr, true, dispatch)
-		// Stores retire through the store buffer: the write completes in
-		// the background and does not hold up commit.
-		complete = dispatch + c.cfg.ALULatency
-		if res.L2Access && c.OnL2Access != nil {
-			c.OnL2Access(inst.PC, inst.Addr, res.L2Hit, dispatch)
-		}
-	default:
-		complete = dispatch + c.cfg.ALULatency
-	}
-
-	// In-order retirement at CommitWidth per cycle.
-	retire := complete
-	if retire < c.lastRetire {
-		retire = c.lastRetire
-	}
-	if retire == c.lastRetire {
-		if c.retireCount >= c.cfg.CommitWidth {
-			retire++
-			c.retireCount = 1
-		} else {
-			c.retireCount++
-		}
-	} else {
-		c.retireCount = 1
-	}
-	c.lastRetire = retire
-
-	// robHead+robCount < 2*len(rob) always, so a conditional subtract
-	// replaces the per-instruction integer division of a modulo.
-	tail := c.robHead + c.robCount
-	if tail >= len(c.rob) {
-		tail -= len(c.rob)
-	}
-	c.rob[tail] = retire
-	c.robCount++
-	c.slot++
-	c.insts++
-
-	if redirect {
-		// Fetch resumes after the branch resolves plus the refill delay.
-		next := complete + c.cfg.MispredictPenalty
-		if next > c.cycle {
-			c.cycle = next
-			c.slot = 0
-		}
-	}
 }

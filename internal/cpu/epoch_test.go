@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"microbandit/internal/core"
-	"microbandit/internal/fault"
 	"microbandit/internal/mem"
 	"microbandit/internal/prefetch"
 	"microbandit/internal/trace"
@@ -47,96 +46,48 @@ func newEpochStack(gen trace.Generator, seed uint64, contextual bool) epochStack
 	return epochStack{r: r, c: c}
 }
 
-// checkEpochEquivalence runs the same configuration through the chunked
-// and scalar paths and asserts every observable — IPC bits, cycles,
+// checkEpochEquivalence runs a golden case with its instruction budget
+// split unevenly across Run calls, so chunk-boundary state (partial
+// slabs) is exercised, and pins every observable — IPC bits, cycles,
 // hierarchy counters, prefetch classification, and the arm-selection
-// trace — matches exactly.
-func checkEpochEquivalence(t *testing.T, name string, mk func() trace.Generator, contextual bool, insts int64) {
+// trace — against the fingerprint recorded for the case.
+func checkEpochEquivalence(t *testing.T, name string) {
 	t.Helper()
-	chunked := newEpochStack(mk(), 7, contextual)
-	scalar := newEpochStack(mk(), 7, contextual)
-	scalar.c.scalar = true
-
-	// Split the run unevenly so chunk-boundary state (partial slabs) is
-	// exercised across RunInsts calls.
-	chunked.r.Run(insts/3 + 1)
-	chunked.r.Run(insts - insts/3 - 1)
-	scalar.r.Run(insts/3 + 1)
-	scalar.r.Run(insts - insts/3 - 1)
-
-	if a, b := chunked.c.Insts(), scalar.c.Insts(); a != b {
-		t.Fatalf("%s: insts %d != %d", name, a, b)
+	if *update {
+		t.Skip("fingerprints are being re-recorded")
 	}
-	if a, b := chunked.c.Cycles(), scalar.c.Cycles(); a != b {
-		t.Fatalf("%s: cycles %d != %d", name, a, b)
+	tc, ok := goldenCases(t)[name]
+	if !ok {
+		t.Fatalf("%s: not a golden case", name)
 	}
-	if a, b := math.Float64bits(chunked.c.IPC()), math.Float64bits(scalar.c.IPC()); a != b {
-		t.Fatalf("%s: IPC bits %x != %x (%v vs %v)", name, a, b, chunked.c.IPC(), scalar.c.IPC())
-	}
-	if a, b := chunked.c.Hier().Stats(), scalar.c.Hier().Stats(); a != b {
-		t.Fatalf("%s: stats %+v != %+v", name, a, b)
-	}
-	if a, b := chunked.c.Hier().Classify(), scalar.c.Hier().Classify(); a != b {
-		t.Fatalf("%s: classification %+v != %+v", name, a, b)
-	}
-	if a, b := chunked.r.ArmTrace, scalar.r.ArmTrace; len(a) != len(b) {
-		t.Fatalf("%s: arm trace length %d != %d", name, len(a), len(b))
-	}
-	for i := range chunked.r.ArmTrace {
-		if chunked.r.ArmTrace[i] != scalar.r.ArmTrace[i] {
-			t.Fatalf("%s: arm trace[%d] %+v != %+v", name, i,
-				chunked.r.ArmTrace[i], scalar.r.ArmTrace[i])
-		}
-	}
-	if chunked.c.FFInsts() == 0 {
-		t.Fatalf("%s: chunked run reports zero fast-forwarded instructions", name)
+	s := newEpochStack(tc.mk(), 7, tc.contextual)
+	s.r.Run(goldenInsts/3 + 1)
+	s.r.Run(goldenInsts - goldenInsts/3 - 1)
+	checkGolden(t, name, fingerprintOf(s))
+	if s.c.FFInsts() == 0 {
+		t.Fatalf("%s: zero fast-forwarded instructions", name)
 	}
 }
 
-// TestEpochEquivalence pins the epoch-batched path against the scalar
-// reference over representative catalog patterns, including the
+// TestEpochEquivalence pins split runs of representative catalog
+// patterns against the golden fingerprints, including the
 // phase-structured mcf17 with a contextual controller (phase probes) and
 // a storm-wrapped trace (fault hooks).
 func TestEpochEquivalence(t *testing.T) {
-	mkApp := func(name string) func() trace.Generator {
-		app, err := trace.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return func() trace.Generator { return app.New(3) }
-	}
-	cases := []struct {
-		name       string
-		mk         func() trace.Generator
-		contextual bool
-	}{
-		{"stream", mkApp("lbm17"), false},
-		{"chase", mkApp("omnetpp17"), false},
-		{"server", mkApp("cassandra"), false},
-		{"phase-ctx", mkApp("mcf17"), true},
+	cases := []struct{ name, golden string }{
+		{"stream", "lbm17"},
+		{"chase", "omnetpp17"},
+		{"server", "cassandra"},
+		{"phase-ctx", "mcf17+ctx"},
+		{"storm-ctx", "mcf17+phasestorm:0.9+ctx"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			checkEpochEquivalence(t, tc.name, tc.mk, tc.contextual, 400_000)
+			checkEpochEquivalence(t, tc.golden)
 		})
 	}
-	t.Run("storm-ctx", func(t *testing.T) {
-		t.Parallel()
-		fs, err := fault.ParseSet("phasestorm:0.9")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mk := func() trace.Generator {
-			app, err := trace.ByName("mcf17")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fault.Generator(app.New(3), fs, 3)
-		}
-		checkEpochEquivalence(t, "storm-ctx", mk, true, 400_000)
-	})
 }
 
 // TestEpochPartialRuns pins slab-state persistence: many tiny RunInsts

@@ -219,7 +219,7 @@ type stormGen struct {
 	src    trace.ChunkSource
 	rng    *xrand.Rand
 	period int64
-	n      int64
+	left   int64 // instructions up to and including the next relocation
 	offset uint64
 }
 
@@ -239,47 +239,53 @@ func Generator(inner trace.Generator, fs Set, runSeed uint64) trace.Generator {
 		src:    trace.SourceOf(inner),
 		rng:    xrand.New(mix(s.Seed, runSeed)),
 		period: period,
+		left:   period,
 	}
 }
 
 // Name implements trace.Generator.
 func (g *stormGen) Name() string { return g.inner.Name() }
 
-// Next implements trace.Generator.
-func (g *stormGen) Next(i *trace.Inst) {
-	g.inner.Next(i)
-	g.n++
-	if g.n%g.period == 0 {
+// advance counts k more instructions down to the next relocation, moving
+// the stream every period instructions: the period-th instruction is the
+// first to see the new offset.
+func (g *stormGen) advance(k int64) {
+	for k >= g.left {
+		k -= g.left
+		g.left = g.period
 		// A fresh line-aligned offset within a 1 GB window: far enough
 		// to leave every cache and learned pattern cold.
 		g.offset = g.rng.Uint64() & 0x3fff_ffc0
 	}
+	g.left -= k
+}
+
+// Next implements trace.Generator.
+func (g *stormGen) Next(i *trace.Inst) {
+	g.inner.Next(i)
+	g.advance(1)
 	if g.offset != 0 && (i.Kind == trace.KindLoad || i.Kind == trace.KindStore) {
 		i.Addr += g.offset
 	}
 }
 
 // NextChunk implements trace.ChunkSource: the inner source fills the
-// slab, then the storm relocation runs over it with per-instruction
-// period accounting identical to Next. stormGen deliberately does not
-// implement trace.PhaseAtter — a storm-wrapped trace reports phase 0,
-// exactly as the scalar wrapper hides the inner generator's Phase.
+// slab, then the storm relocation runs over its memory operations, the
+// countdown jumping from one to the next, with the same accounting as
+// Next. stormGen deliberately does not implement trace.PhaseAtter — a
+// storm-wrapped trace reports phase 0, so contextual agents see the
+// storm as one unstructured phase.
 func (g *stormGen) NextChunk(c *trace.Chunk) {
 	g.src.NextChunk(c)
-	n := c.Len()
-	memIdx := 0
-	for i := 0; i < n; i++ {
-		g.n++
-		if g.n%g.period == 0 {
-			g.offset = g.rng.Uint64() & 0x3fff_ffc0
-		}
-		if memIdx < len(c.Mem) && int(c.Mem[memIdx]) == i {
-			memIdx++
-			if g.offset != 0 {
-				c.Addr[i] += g.offset
-			}
+	prev := -1 // last instruction counted
+	for _, m := range c.Mem {
+		g.advance(int64(int(m) - prev))
+		prev = int(m)
+		if g.offset != 0 {
+			c.Addr[m] += g.offset
 		}
 	}
+	g.advance(int64(c.Len() - 1 - prev))
 }
 
 // ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 package trace
 
+import "microbandit/internal/xrand"
+
 // Epoch-batched trace production. The per-instruction Generator.Next
 // interface call is the simulator's innermost edge: one dynamic dispatch
 // and one Inst copy per simulated instruction. A Chunk is a
@@ -182,55 +184,97 @@ func (s *scalarSource) fillChunk(c *Chunk, lo, hi int) {
 }
 
 // NextChunk implements ChunkSource natively for the Shape-mix generator:
-// the same state machine as Next, inlined over the slab, with no
+// the same stream as Next, filled straight into the slab with no
 // interface dispatch and no Inst copies for filler instructions.
 func (g *gen) NextChunk(c *Chunk) { g.fillChunk(c, 0, c.Len()) }
 
-// fillChunk implements chunkFiller. The branch structure and RNG call
-// order replicate Next exactly — any divergence breaks the bit-identical
-// contract (and the differential tests).
+// fillerKinds maps a filler's two coin outcomes (is it a branch, did the
+// second coin hit) to its kind: a branch whatever the second coin says,
+// else FP on a hit and ALU otherwise.
+var fillerKinds = [4]Kind{KindALU, KindFP, KindBranch, KindBranch}
+
+// fillChunk implements chunkFiller. It draws the same words in the same
+// order as Next, so the streams are bit-identical (pinned by the
+// differential tests and the golden chunk hashes), but it is written so
+// the host does not branch on the simulated instruction mix: the coins
+// are integer thresholds, the xoshiro state stays in registers across
+// each run of filler instructions (it is written back before every
+// memFunc call, which draws from the same generator), and the filler
+// kind is a table lookup on the coin outcomes.
 func (g *gen) fillChunk(c *Chunk, lo, hi int) {
-	pcs, addrs, kinds, flags := c.PC, c.Addr, c.Kind, c.Flags
-	for i := lo; i < hi; i++ {
-		if g.fillerLeft > 0 {
-			g.fillerLeft--
-			pcs[i] = fillerPCBase + uint64(g.fillerIdx)*4
-			addrs[i] = 0
-			g.fillerIdx++
-			if g.fillerIdx == g.shape.CodeFootprint {
-				g.fillerIdx = 0
-			}
-			var fl uint8
-			if g.rng.Bool(g.shape.BranchFrac) {
-				kinds[i] = KindBranch
-				if g.rng.Bool(g.shape.MispredictProb) {
-					fl = FlagMispredict
+	pcs, addrs, kinds, flags := c.PC[:hi], c.Addr[:hi], c.Kind[:hi], c.Flags[:hi]
+	coins := g.coins
+	footprint := g.shape.CodeFootprint
+	left, idx := g.fillerLeft, g.fillerIdx
+	st := g.rng.State()
+	s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
+	for i := lo; i < hi; {
+		if left > 0 {
+			// A run of filler instructions, up to the next memory op or
+			// the end of the range.
+			end := min(hi, i+left)
+			left -= end - i
+			for ; i < end; i++ {
+				pcs[i] = fillerPCBase + uint64(idx)*4
+				addrs[i] = 0
+				idx++
+				if idx == footprint {
+					idx = 0
 				}
-			} else if g.rng.Bool(g.shape.FPFrac) {
-				kinds[i] = KindFP
-			} else {
-				kinds[i] = KindALU
+				var u uint64
+				if coins.branch.Draws() {
+					u, s0, s1, s2, s3 = xrand.Step(s0, s1, s2, s3)
+				}
+				var br uint8
+				if coins.branch.Hit(u) {
+					br = 1
+				}
+				// Next flips the mispredict coin after a branch and the
+				// FP coin otherwise; selecting the coin is a conditional
+				// move.
+				second := coins.fp
+				if br != 0 {
+					second = coins.mispredict
+				}
+				u = 0
+				if second.Draws() {
+					u, s0, s1, s2, s3 = xrand.Step(s0, s1, s2, s3)
+				}
+				var hit uint8
+				if second.Hit(u) {
+					hit = 1
+				}
+				kinds[i] = fillerKinds[(br<<1|hit)&3]
+				flags[i] = (br & hit) * FlagMispredict
 			}
-			flags[i] = fl
 			continue
 		}
-		g.fillerLeft = g.shape.ALUPerMem
+		left = g.shape.ALUPerMem
+		g.rng.SetState([4]uint64{s0, s1, s2, s3})
 		g.scratch = Inst{}
 		g.mem(g.rng, &g.scratch)
+		st = g.rng.State()
+		s0, s1, s2, s3 = st[0], st[1], st[2], st[3]
 		pcs[i] = g.scratch.PC
 		addrs[i] = g.scratch.Addr
-		var fl uint8
-		if g.rng.Bool(g.shape.StoreFrac) {
-			kinds[i] = KindStore
-		} else {
-			kinds[i] = KindLoad
-			if g.scratch.DependsOnPrev {
-				fl = FlagDependsOnPrev
-			}
+		var u uint64
+		if coins.store.Draws() {
+			u, s0, s1, s2, s3 = xrand.Step(s0, s1, s2, s3)
 		}
+		kind, fl := KindLoad, uint8(0)
+		if g.scratch.DependsOnPrev {
+			fl = FlagDependsOnPrev
+		}
+		if coins.store.Hit(u) {
+			kind, fl = KindStore, 0
+		}
+		kinds[i] = kind
 		flags[i] = fl
 		c.Mem = append(c.Mem, int32(i))
+		i++
 	}
+	g.fillerLeft, g.fillerIdx = left, idx
+	g.rng.SetState([4]uint64{s0, s1, s2, s3})
 }
 
 // NextChunk implements ChunkSource natively for PhaseGen by slicing the

@@ -191,3 +191,24 @@ func TestChunkSetGetRoundTrip(t *testing.T) {
 		t.Fatalf("Mem = %v, want [3 4]", c.Mem)
 	}
 }
+
+// BenchmarkChunkFill measures the native fill kernel per instruction on a
+// compute-dense app (mostly filler) and a memory-dense one.
+func BenchmarkChunkFill(b *testing.B) {
+	for _, name := range []string{"cactuBSSN", "lbm17"} {
+		b.Run(name, func(b *testing.B) {
+			app, err := ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := SourceOf(app.New(1))
+			var c Chunk
+			c.Reset(ChunkLen)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.NextChunk(&c)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ChunkLen), "ns/inst")
+		})
+	}
+}

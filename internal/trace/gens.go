@@ -36,6 +36,7 @@ type gen struct {
 	rng        *xrand.Rand
 	shape      Shape
 	mem        memFunc
+	coins      shapeCoins
 	fillerLeft int
 	fillerIdx  int
 
@@ -50,7 +51,24 @@ func newGen(name string, seed uint64, shape Shape, mem memFunc) *gen {
 	if shape.CodeFootprint < 1 {
 		shape.CodeFootprint = 64
 	}
-	return &gen{name: name, rng: xrand.New(seed), shape: shape, mem: mem}
+	return &gen{name: name, rng: xrand.New(seed), shape: shape, mem: mem,
+		coins: coinsOf(shape)}
+}
+
+// shapeCoins holds a Shape's probabilities as precomputed coins for the
+// chunk fill kernel; Next flips the same probabilities with Bool.
+type shapeCoins struct {
+	branch, mispredict, fp, store xrand.Coin
+}
+
+// coinsOf precomputes the coins of a Shape.
+func coinsOf(s Shape) shapeCoins {
+	return shapeCoins{
+		branch:     xrand.NewCoin(s.BranchFrac),
+		mispredict: xrand.NewCoin(s.MispredictProb),
+		fp:         xrand.NewCoin(s.FPFrac),
+		store:      xrand.NewCoin(s.StoreFrac),
+	}
 }
 
 // Name implements Generator.

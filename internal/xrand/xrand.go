@@ -60,15 +60,26 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = Step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
+}
+
+// Step is one xoshiro256** step over a state held in four words: it
+// returns the output and the successor state. Uint64 is Step over the
+// generator's own state. Step inlines, so a kernel that draws many
+// numbers can keep the state in registers: load it with State, step the
+// locals, and store it back with SetState before anything else uses the
+// generator.
+func Step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -116,6 +127,40 @@ func (r *Rand) Bool(p float64) bool {
 	}
 	return r.Float64() < p
 }
+
+// Coin is Bool(p) for a fixed p with the float comparison precomputed
+// into an integer threshold, for hot loops that flip the same coin many
+// times. Bool(p) tests Float64() < p, that is (u>>11)·2^-53 < p for the
+// drawn word u. Scaling by 2^53 is exact, so for p in (0,1) the test is
+// u>>11 < ceil(p·2^53), which is u < ceil(p·2^53)<<11. The coin also
+// keeps Bool's edge cases: p <= 0 and p >= 1 draw nothing, and NaN draws
+// one word and never hits.
+type Coin struct {
+	thr  uint64 // a flip hits when its word is below thr
+	draw bool   // whether a flip consumes a word
+}
+
+// NewCoin returns the coin that flips like Bool(p).
+func NewCoin(p float64) Coin {
+	switch {
+	case p != p:
+		// uint64(NaN) is platform-defined, so NaN needs its own case.
+		return Coin{draw: true}
+	case p <= 0:
+		return Coin{}
+	case p >= 1:
+		return Coin{thr: 1}
+	}
+	return Coin{thr: uint64(math.Ceil(p*(1<<53))) << 11, draw: true}
+}
+
+// Draws reports whether a flip consumes a word from the stream.
+func (c Coin) Draws() bool { return c.draw }
+
+// Hit is the flip's outcome for the drawn word u. A coin that does not
+// draw must be given u = 0, which makes its fixed outcome fall out of
+// the same comparison.
+func (c Coin) Hit(u uint64) bool { return u < c.thr }
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and
 // standard deviation 1, using the polar (Marsaglia) method.

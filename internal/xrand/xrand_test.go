@@ -104,6 +104,83 @@ func TestBool(t *testing.T) {
 	}
 }
 
+// coinProbes are the p values the coin must flip exactly like Bool at:
+// both zeros, the smallest subnormal, the 2^-53 grid step, the middle,
+// the largest p below 1, one, infinities, and NaN.
+var coinProbes = []float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-53, 0.5,
+	1 - 0x1p-53, 1, math.Inf(1), math.Inf(-1), math.NaN(),
+	0.02, 0.1, 0.15, 0.3, 0.55,
+}
+
+// flip draws a word when the coin asks for one, as the trace fill
+// kernel does, and returns the outcome.
+func flip(r *Rand, c Coin) bool {
+	var u uint64
+	if c.Draws() {
+		u = r.Uint64()
+	}
+	return c.Hit(u)
+}
+
+// TestCoinMatchesBool pins Coin against Bool: over 1e6 flips per p the
+// outcomes agree one for one, and both generators end in the same state,
+// so the coin draws exactly as many words as Bool does.
+func TestCoinMatchesBool(t *testing.T) {
+	const draws = 1_000_000
+	for _, p := range coinProbes {
+		a, b := New(29), New(29)
+		c := NewCoin(p)
+		for i := 0; i < draws; i++ {
+			if x, y := a.Bool(p), flip(b, c); x != y {
+				t.Fatalf("p=%v flip %d: Bool %v, coin %v", p, i, x, y)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("p=%v: generator states diverged after %d flips", p, draws)
+		}
+	}
+}
+
+// TestCoinThresholdBoundary checks the threshold against Float64's
+// definition at the boundary itself: the largest hitting word and the
+// smallest missing word must straddle p.
+func TestCoinThresholdBoundary(t *testing.T) {
+	float := func(u uint64) float64 { return float64(u>>11) * (1.0 / (1 << 53)) }
+	for _, p := range coinProbes {
+		if !(p > 0 && p < 1) {
+			continue
+		}
+		c := NewCoin(p)
+		if c.thr == 0 || c.thr&(1<<11-1) != 0 {
+			t.Fatalf("p=%v: threshold %#x is not a positive multiple of 2^11", p, c.thr)
+		}
+		if last := c.thr - 1; !(float(last) < p) || !c.Hit(last) {
+			t.Errorf("p=%v: word %#x should hit", p, last)
+		}
+		if !(float(c.thr) >= p) || c.Hit(c.thr) {
+			t.Errorf("p=%v: word %#x should miss", p, c.thr)
+		}
+	}
+}
+
+// TestStepMatchesUint64 pins the register-resident step against the
+// generator's own stream.
+func TestStepMatchesUint64(t *testing.T) {
+	r := New(31)
+	s := r.State()
+	for i := 0; i < 1000; i++ {
+		var out uint64
+		out, s[0], s[1], s[2], s[3] = Step(s[0], s[1], s[2], s[3])
+		if want := r.Uint64(); out != want {
+			t.Fatalf("step %d: %#x, Uint64 %#x", i, out, want)
+		}
+	}
+	if s != r.State() {
+		t.Fatal("states diverged")
+	}
+}
+
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(9)
 	const draws = 200000
