@@ -128,9 +128,6 @@ func protoResult(err error) batchResult {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	sc := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(sc)
 

@@ -7,21 +7,16 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"microbandit/internal/core"
 	"microbandit/internal/fault"
 )
 
-// CheckpointVersion is the checkpoint file schema version this build
-// writes. Version 2 adds slab records — same-algorithm agent sessions
-// stored as parallel arrays instead of one JSON object each — and still
-// reads version 1 files unchanged.
+// CheckpointVersion is the one checkpoint file schema version this build
+// reads and writes. Version 2 stores same-algorithm agent sessions as
+// slab records (parallel arrays) and every other session as its own
+// JSON object.
 const CheckpointVersion = 2
-
-// checkpointVersionV1 is the PR 4 per-session-object format, accepted
-// on read forever.
-const checkpointVersionV1 = 1
 
 // Session kinds in a checkpoint record.
 const (
@@ -105,8 +100,8 @@ func statelessPolicyEq(a, b core.PolicySnapshot) bool {
 // through the algorithm registry, and the forced queue must be the
 // round-robin tail the ForcedLens encoding assumes. The checks are
 // belt-and-braces — sessions built by this package always qualify — but
-// a session restored from a hand-edited v1 file might not, and falling
-// back to a full record is always correct.
+// a session restored from a hand-edited per-session record might not,
+// and falling back to a full record is always correct.
 func slabRecordable(spec Spec, snap *core.AgentSnapshot) bool {
 	if len(spec.MetaPairs) != 0 || !slabAlgos[spec.Algo] {
 		return false
@@ -356,30 +351,13 @@ func (st *Store) restoreSession(ck sessionCheckpoint) error {
 	return nil
 }
 
-// Record key prefixes: slab column groups ship as "g/<algo>/<arms>"
-// records, per-session fallbacks as "s/<id>".
-const (
-	recPrefixGroup   = "g/"
-	recPrefixSession = "s/"
-)
-
-// CheckpointRecord is one independently shippable unit of a checkpoint:
-// a slab column group or a single non-slab session. The replication
-// plane hashes record bodies and ships only the records that changed
-// since the replica's last acknowledged generation — a slab group whose
-// sessions saw no traffic costs nothing to re-replicate.
-type CheckpointRecord struct {
-	Key  string          `json:"key"`
-	Body json.RawMessage `json:"body"`
-}
-
-// CheckpointRecords captures every live session as a sorted record list
-// plus the store's id counter. AssembleCheckpoint rebuilds the exact
-// Checkpoint() byte stream from them; the pair exists so a replication
-// sender can diff records across generations instead of re-shipping the
-// whole file.
-func (st *Store) CheckpointRecords() (nextID uint64, recs []CheckpointRecord, err error) {
-	nextID = st.nextID.Load()
+// Checkpoint serializes every live session: per-session records sorted
+// by id, then slab groups sorted by (algo, arms). Sessions are locked one
+// at a time, so traffic on other sessions proceeds during a checkpoint.
+// Agent sessions that pass slabRecordable land in column slab groups;
+// everything else keeps the per-session record format.
+func (st *Store) Checkpoint() ([]byte, error) {
+	file := checkpointFile{V: CheckpointVersion, NextID: st.nextID.Load()}
 	groups := make(map[string]*slabCheckpoint)
 	for _, id := range st.IDs() {
 		s, ok := st.Get(id)
@@ -388,7 +366,7 @@ func (st *Store) CheckpointRecords() (nextID uint64, recs []CheckpointRecord, er
 		}
 		ck, snap, err := checkpointSession(s)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		if snap != nil && slabRecordable(ck.Spec, snap) {
 			key := slabGroupKey(ck.Spec.Algo, snap.Arms)
@@ -403,71 +381,21 @@ func (st *Store) CheckpointRecords() (nextID uint64, recs []CheckpointRecord, er
 		if snap != nil {
 			data, err := json.Marshal(snap)
 			if err != nil {
-				return 0, nil, fmt.Errorf("session %s: %w", ck.ID, err)
+				return nil, fmt.Errorf("session %s: %w", ck.ID, err)
 			}
 			ck.Agent = data
 		}
-		body, err := json.Marshal(ck)
-		if err != nil {
-			return 0, nil, fmt.Errorf("session %s: %w", ck.ID, err)
-		}
-		recs = append(recs, CheckpointRecord{Key: recPrefixSession + ck.ID, Body: body})
+		file.Sessions = append(file.Sessions, ck)
 	}
-	for key, g := range groups {
-		body, err := json.Marshal(g)
-		if err != nil {
-			return 0, nil, fmt.Errorf("slab group %s: %w", key, err)
-		}
-		recs = append(recs, CheckpointRecord{Key: recPrefixGroup + key, Body: body})
+	keys := make([]string, 0, len(groups))
+	for key := range groups {
+		keys = append(keys, key)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-	return nextID, recs, nil
-}
-
-// rawCheckpointFile mirrors checkpointFile with pre-encoded members, so
-// AssembleCheckpoint splices record bodies without re-marshaling them.
-type rawCheckpointFile struct {
-	V        int               `json:"v"`
-	NextID   uint64            `json:"next_id"`
-	Sessions []json.RawMessage `json:"sessions"`
-	Slabs    []json.RawMessage `json:"slabs,omitempty"`
-}
-
-// AssembleCheckpoint rebuilds a version-2 checkpoint byte stream from a
-// record list. Records may arrive in any order; the output is sorted by
-// key, which is exactly Checkpoint()'s ordering — same records in, same
-// bytes out, no matter which generations the records arrived in.
-func AssembleCheckpoint(nextID uint64, recs []CheckpointRecord) ([]byte, error) {
-	sorted := make([]CheckpointRecord, len(recs))
-	copy(sorted, recs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	file := rawCheckpointFile{V: CheckpointVersion, NextID: nextID}
-	for i, r := range sorted {
-		if i > 0 && sorted[i-1].Key == r.Key {
-			return nil, &CheckpointError{Reason: fmt.Sprintf("duplicate record key %q", r.Key)}
-		}
-		switch {
-		case strings.HasPrefix(r.Key, recPrefixSession):
-			file.Sessions = append(file.Sessions, r.Body)
-		case strings.HasPrefix(r.Key, recPrefixGroup):
-			file.Slabs = append(file.Slabs, r.Body)
-		default:
-			return nil, &CheckpointError{Reason: fmt.Sprintf("unknown record key %q", r.Key)}
-		}
+	sort.Strings(keys)
+	for _, key := range keys {
+		file.Slabs = append(file.Slabs, *groups[key])
 	}
 	return json.Marshal(file)
-}
-
-// Checkpoint serializes every live session, sorted by id. Sessions are
-// locked one at a time, so traffic on other sessions proceeds during a
-// checkpoint. Agent sessions that pass slabRecordable land in column
-// slab groups; everything else keeps the per-session record format.
-func (st *Store) Checkpoint() ([]byte, error) {
-	nextID, recs, err := st.CheckpointRecords()
-	if err != nil {
-		return nil, err
-	}
-	return AssembleCheckpoint(nextID, recs)
 }
 
 // WriteCheckpoint atomically persists the store to path: the file is
@@ -516,61 +444,43 @@ func decodeError(err error) *CheckpointError {
 	return ce
 }
 
-// RestoreSessions merges checkpoint bytes into a live store: every
-// session in the file is rebuilt exactly as RestoreCheckpoint would,
-// alongside whatever the store already serves. A promoted replica uses
-// this to absorb its dead predecessor's sessions without interrupting
-// its own. Duplicate ids (in the file, or already live) are errors; the
-// id counter ratchets to the file's so future Create calls cannot mint
-// a restored session's id.
-func (st *Store) RestoreSessions(data []byte) error {
+// RestoreCheckpoint rebuilds a store from checkpoint bytes. Every error
+// path returns a typed *CheckpointError (or core's typed snapshot
+// errors wrapped in one) — decode failures name the byte offset of the
+// damage, other versions name the one this build reads — and it never
+// panics on hostile input. Duplicate session ids are errors.
+func RestoreCheckpoint(data []byte, shards int) (*Store, error) {
 	var file checkpointFile
 	if err := json.Unmarshal(data, &file); err != nil {
-		return decodeError(err)
+		return nil, decodeError(err)
 	}
-	if file.V != checkpointVersionV1 && file.V != CheckpointVersion {
-		return &CheckpointError{Reason: fmt.Sprintf("version %d (this build reads versions %d and %d)", file.V, checkpointVersionV1, CheckpointVersion)}
+	if file.V != CheckpointVersion {
+		return nil, &CheckpointError{Reason: fmt.Sprintf("version %d (this build reads version %d only)", file.V, CheckpointVersion)}
 	}
-	for {
-		cur := st.nextID.Load()
-		if file.NextID <= cur || st.nextID.CompareAndSwap(cur, file.NextID) {
-			break
-		}
-	}
+	st := NewStore(shards)
+	st.nextID.Store(file.NextID)
 	for _, ck := range file.Sessions {
 		if err := st.restoreSession(ck); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for gi := range file.Slabs {
 		g := &file.Slabs[gi]
 		if err := g.validate(); err != nil {
-			return &CheckpointError{Reason: err.Error()}
+			return nil, &CheckpointError{Reason: err.Error()}
 		}
 		for i := range g.IDs {
 			if err := st.restoreSlabSession(g, i); err != nil {
-				return err
+				return nil, err
 			}
 		}
-	}
-	return nil
-}
-
-// RestoreCheckpoint rebuilds a store from checkpoint bytes. Every error
-// path returns a typed *CheckpointError (or core's typed snapshot
-// errors wrapped in one) — decode failures name the byte offset of the
-// damage — and it never panics on hostile input.
-func RestoreCheckpoint(data []byte, shards int) (*Store, error) {
-	st := NewStore(shards)
-	if err := st.RestoreSessions(data); err != nil {
-		return nil, err
 	}
 	return st, nil
 }
 
 // restoreSlabSession rebuilds entry i of a slab group. The column entry
-// is expanded into the same AgentSnapshot a v1 record would have carried
-// — the policy block comes from the algorithm registry, the round-robin
+// is expanded into the same AgentSnapshot a per-session record would
+// carry — the policy block comes from the algorithm registry, the round-robin
 // queue from its tail length — and then restores through the exact path
 // per-session records use, so the two formats cannot drift apart.
 func (st *Store) restoreSlabSession(g *slabCheckpoint, i int) error {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"microbandit/internal/core"
@@ -267,12 +269,12 @@ func TestRestoreCheckpointTypedErrors(t *testing.T) {
 		{"not json", []byte("definitely not json")},
 		{"truncated", good[:len(good)/2]},
 		{"wrong version", []byte(`{"v":999,"next_id":1,"sessions":[]}`)},
-		{"missing id", []byte(`{"v":1,"next_id":1,"sessions":[{"spec":{"arms":2},"kind":"fixed"}]}`)},
-		{"unknown kind", []byte(`{"v":1,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"alien"}]}`)},
-		{"bad spec", []byte(`{"v":1,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":0},"kind":"fixed"}]}`)},
-		{"fixed arm out of range", []byte(`{"v":1,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":9}]}`)},
-		{"agent payload garbage", []byte(`{"v":1,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1}}]}`)},
-		{"open arm out of range", []byte(`{"v":1,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":0,"open":true,"arm":7}]}`)},
+		{"missing id", []byte(`{"v":2,"next_id":1,"sessions":[{"spec":{"arms":2},"kind":"fixed"}]}`)},
+		{"unknown kind", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"alien"}]}`)},
+		{"bad spec", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":0},"kind":"fixed"}]}`)},
+		{"fixed arm out of range", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":9}]}`)},
+		{"agent payload garbage", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1}}]}`)},
+		{"open arm out of range", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":0,"open":true,"arm":7}]}`)},
 		{"duplicate id", dupSessionCheckpoint(t, good)},
 	}
 	for _, c := range cases {
@@ -370,11 +372,12 @@ func TestCheckpointFaultSpecRoundTrips(t *testing.T) {
 	}
 }
 
-// checkpointV1 re-encodes a store in the version-1 per-session-record
-// format (every agent as its own JSON snapshot), as PR 4 wrote it.
-func checkpointV1(t *testing.T, st *Store) []byte {
+// checkpointPerSession encodes a store as a version-2 file whose every
+// session, slab-eligible or not, is a per-session record — the other of
+// the two encodings the restorer accepts.
+func checkpointPerSession(t *testing.T, st *Store) []byte {
 	t.Helper()
-	file := checkpointFile{V: checkpointVersionV1, NextID: st.nextID.Load()}
+	file := checkpointFile{V: CheckpointVersion, NextID: st.nextID.Load()}
 	for _, id := range st.IDs() {
 		s, ok := st.Get(id)
 		if !ok {
@@ -395,16 +398,16 @@ func checkpointV1(t *testing.T, st *Store) []byte {
 	}
 	data, err := json.Marshal(file)
 	if err != nil {
-		t.Fatalf("marshal v1 file: %v", err)
+		t.Fatalf("marshal per-session file: %v", err)
 	}
 	return data
 }
 
-// TestCheckpointV1StillRestores: a version-1 file and the version-2 slab
-// encoding of the same store restore into sessions with identical future
-// decision streams. This is the codec round-trip equivalence the slab
-// format promises against the PR 4 format.
-func TestCheckpointV1StillRestores(t *testing.T) {
+// TestCheckpointPerSessionMatchesSlab: the all-per-session encoding and
+// the slab encoding of the same store restore into sessions with
+// identical future decision streams, so the two record formats cannot
+// drift apart.
+func TestCheckpointPerSessionMatchesSlab(t *testing.T) {
 	st := NewStore(2)
 	var ids []string
 	for _, sp := range ckptSpecs() {
@@ -416,18 +419,18 @@ func TestCheckpointV1StillRestores(t *testing.T) {
 	}
 	driveSessions(t, st, ids, 25)
 
-	v1 := checkpointV1(t, st)
-	v2, err := st.Checkpoint()
+	records := checkpointPerSession(t, st)
+	slabs, err := st.Checkpoint()
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	st1, err := RestoreCheckpoint(v1, 3)
+	st1, err := RestoreCheckpoint(records, 3)
 	if err != nil {
-		t.Fatalf("RestoreCheckpoint(v1): %v", err)
+		t.Fatalf("RestoreCheckpoint(per-session): %v", err)
 	}
-	st2, err := RestoreCheckpoint(v2, 3)
+	st2, err := RestoreCheckpoint(slabs, 3)
 	if err != nil {
-		t.Fatalf("RestoreCheckpoint(v2): %v", err)
+		t.Fatalf("RestoreCheckpoint(slab): %v", err)
 	}
 	got1 := driveSessions(t, st1, ids, 80)
 	got2 := driveSessions(t, st2, ids, 80)
@@ -435,9 +438,30 @@ func TestCheckpointV1StillRestores(t *testing.T) {
 		a, b := got1[id], got2[id]
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("session %s: v1 restore and v2 restore diverge at decision %d (%d vs %d)", id, i, a[i], b[i])
+				t.Fatalf("session %s: per-session and slab restores diverge at decision %d (%d vs %d)", id, i, a[i], b[i])
 			}
 		}
+	}
+}
+
+// TestRestoreRefusesV1: a version-1 file (the same per-session records
+// under "v":1) is refused with a typed error naming the one version
+// this build reads.
+func TestRestoreRefusesV1(t *testing.T) {
+	st := NewStore(1)
+	for _, sp := range ckptSpecs() {
+		if _, err := st.Create(sp); err != nil {
+			t.Fatalf("Create(%+v): %v", sp, err)
+		}
+	}
+	v1 := mutateCheckpoint(t, checkpointPerSession(t, st), func(f *checkpointFile) { f.V = 1 })
+	_, err := RestoreCheckpoint(v1, 1)
+	var ce *CheckpointError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v (%T), want *CheckpointError", err, err)
+	}
+	if want := fmt.Sprintf("version %d", CheckpointVersion); !strings.Contains(ce.Error(), want) {
+		t.Fatalf("error %q does not name %q", ce.Error(), want)
 	}
 }
 
@@ -596,12 +620,12 @@ func TestRestoreSlabHostile(t *testing.T) {
 }
 
 // TestRestoreCorruptedCheckpointFiles feeds damaged checkpoint bytes —
-// truncations and single-bit flips at byte strides, over both the v1
-// per-session format and the v2 slab format — through RestoreCheckpoint.
+// truncations and single-bit flips at byte strides, over both v2
+// encodings (all per-session records, and slab groups) — through
+// RestoreCheckpoint.
 // The contract under fire: a restore either succeeds or returns a typed
 // *CheckpointError (naming the byte offset for decode failures), and it
-// never panics. This is the on-disk analogue of a node crash mid-write
-// or a corrupted replica shipment.
+// never panics. This is the on-disk analogue of a crash mid-write.
 func TestRestoreCorruptedCheckpointFiles(t *testing.T) {
 	st := NewStore(2)
 	var ids []string
@@ -614,7 +638,7 @@ func TestRestoreCorruptedCheckpointFiles(t *testing.T) {
 	}
 	driveSessions(t, st, ids, 12)
 
-	v1 := checkpointV1(t, st)
+	records := checkpointPerSession(t, st)
 	v2, err := st.Checkpoint()
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -623,7 +647,7 @@ func TestRestoreCorruptedCheckpointFiles(t *testing.T) {
 	for _, f := range []struct {
 		name string
 		data []byte
-	}{{"v1", v1}, {"v2", v2}} {
+	}{{"v2-records", records}, {"v2", v2}} {
 		f := f
 		t.Run(f.name+"/truncated", func(t *testing.T) {
 			// Every proper prefix of the JSON object is malformed: the

@@ -163,25 +163,6 @@ func TestContextualSpecValidation(t *testing.T) {
 	}
 }
 
-// TestCreateWithIDIdempotentMaxContexts: a retried PUT with the same
-// max_contexts is idempotent; a differing max_contexts is a conflict.
-func TestCreateWithIDIdempotentMaxContexts(t *testing.T) {
-	st := NewStore(1)
-	spec := Spec{Algo: "ctx-thompson", Arms: 3, Seed: 4, MaxContexts: 6}
-	if _, created, err := st.CreateWithID("ctx-a", spec); err != nil || !created {
-		t.Fatalf("first create: created=%v err=%v", created, err)
-	}
-	if _, created, err := st.CreateWithID("ctx-a", spec); err != nil || created {
-		t.Fatalf("retried create: created=%v err=%v", created, err)
-	}
-	spec.MaxContexts = 7
-	_, _, err := st.CreateWithID("ctx-a", spec)
-	var pe *ProtocolError
-	if !errors.As(err, &pe) || pe.Code != CodeConflict {
-		t.Fatalf("differing max_contexts: err = %v, want %s", err, CodeConflict)
-	}
-}
-
 // TestBatchContextMatchesScalar: ctx-carrying batch steps land in the
 // same signature contexts the scalar endpoint would select, so the two
 // transports emit identical arm streams.
@@ -275,44 +256,6 @@ func TestBatchContextErrors(t *testing.T) {
 	} {
 		if code := errCode(t, srv, "POST", "/v1/batch", body, http.StatusBadRequest); code != CodeBadRequest {
 			t.Fatalf("%s: code %q, want %q", body, code, CodeBadRequest)
-		}
-	}
-}
-
-// TestBatchOpCtxRoundTrip: AppendBatchOp emits ctx members that
-// ParseBatchOps recovers exactly.
-func TestBatchOpCtxRoundTrip(t *testing.T) {
-	in := []BatchOp{
-		{ID: "a", Step: true, Ctx: []float64{2, 7.5, 0.25}},
-		{ID: "b", Step: true},
-		{ID: "a", Seq: 0, Reward: 0.5},
-	}
-	body := []byte(`{"ops":[`)
-	for i, op := range in {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = AppendBatchOp(body, op)
-	}
-	body = append(body, []byte(`]}`)...)
-	out, err := ParseBatchOps(body)
-	if err != nil {
-		t.Fatalf("ParseBatchOps(%s): %v", body, err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round-tripped %d ops, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].ID != in[i].ID || out[i].Step != in[i].Step {
-			t.Fatalf("op %d: %+v vs %+v", i, out[i], in[i])
-		}
-		if len(out[i].Ctx) != len(in[i].Ctx) {
-			t.Fatalf("op %d ctx: %v vs %v", i, out[i].Ctx, in[i].Ctx)
-		}
-		for j := range in[i].Ctx {
-			if out[i].Ctx[j] != in[i].Ctx[j] {
-				t.Fatalf("op %d ctx[%d]: %v vs %v", i, j, out[i].Ctx[j], in[i].Ctx[j])
-			}
 		}
 	}
 }
@@ -535,7 +478,7 @@ func TestRestoreContextualSkew(t *testing.T) {
 	}
 }
 
-// TestRestoreAgentSpecSkew: a v1-style agent record whose snapshot shape
+// TestRestoreAgentSpecSkew: a per-session agent record whose snapshot shape
 // disagrees with its session spec — arm count or in-step flag — is a
 // typed error naming the session. Before the shape cross-check, such a
 // record restored an agent the protocol layer mis-modeled, corrupting on
@@ -568,7 +511,7 @@ func TestRestoreAgentSpecSkew(t *testing.T) {
 		return data
 	}
 	file := func(ck sessionCheckpoint) []byte {
-		data, err := json.Marshal(checkpointFile{V: checkpointVersionV1, NextID: 1,
+		data, err := json.Marshal(checkpointFile{V: CheckpointVersion, NextID: 1,
 			Sessions: []sessionCheckpoint{ck}})
 		if err != nil {
 			t.Fatalf("marshal file: %v", err)
@@ -601,7 +544,7 @@ func TestRestoreAgentSpecSkew(t *testing.T) {
 			Kind: ckptAgent, Agent: snapJSON(3, false),
 		}), 1)
 		if err != nil {
-			t.Fatalf("valid v1 agent record: %v", err)
+			t.Fatalf("valid agent record: %v", err)
 		}
 		if _, ok := st.Get("ok"); !ok {
 			t.Fatal("session missing after restore")

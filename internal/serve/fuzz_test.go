@@ -84,12 +84,12 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add([]byte(`{"v":1,"next_id":0,"sessions":[]}`))
+	f.Add([]byte(`{"v":2,"next_id":0,"sessions":[]}`))
 	f.Add([]byte(`{"v":2}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add(good[:len(good)/3])
-	f.Add([]byte(`{"v":1,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1,"arms":2}}]}`))
+	f.Add([]byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1,"arms":2}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := RestoreCheckpoint(data, 2)

@@ -11,22 +11,17 @@
 // cold-start effects (first allocations, branch training) never pollute
 // the tail percentiles.
 //
-// The generator speaks to any http.Handler. Handing it an in-process
+// The generator drives an in-process http.Handler. Handing it a
 // *serve.Server measures the decision engine itself — no sockets, no
 // kernel — which is the configuration the repo's reference numbers in
-// BENCH_serve.json use; handing it NewHTTPTarget measures a live server
-// over real sockets instead. Multi-target mode (Options.Targets) spreads
-// the workers round-robin over several endpoints — the cluster benchmark
-// drives every node of a ring this way — and reports a per-target
-// latency histogram next to the merged one.
+// BENCH_serve.json use.
 //
-// The workers are cluster-aware clients: a 503 (draining node, dead
-// node, mid-failover router) is retried with jittered exponential
-// backoff, honoring a Retry-After hint when one arrives; a typed
-// sequence-protocol 409 after a failover is resolved by resyncing
-// against GET /v1/sessions/{id} and rewarding the server's open
-// decision. Both paths count separately from Errors — a healthy chaos
-// run ends with zero Errors and a nonzero Retries/Resyncs tally.
+// The workers follow the single-node sequence protocol: a step that
+// bounces off a decision this client never closed (typed 409 step_open)
+// is resolved by reading the open decision back through
+// GET /v1/sessions/{id} and rewarding it; a stale reward (no_open_step,
+// seq_mismatch) is dropped. Those recoveries count as Resyncs; any other
+// non-200 response counts as an error.
 package loadgen
 
 import (
@@ -46,59 +41,12 @@ import (
 	"time"
 
 	"microbandit/internal/serve"
-	"microbandit/internal/xrand"
 )
-
-// Target is one named endpoint a multi-target run drives.
-type Target struct {
-	// Name labels the target in the per-target results.
-	Name string
-	// Handler serves the target's requests (an in-process server, or a
-	// NewHTTPTarget proxy for a live one).
-	Handler http.Handler
-}
-
-// NewHTTPTarget returns a target that proxies every request to a live
-// server at base ("http://host:port") over real sockets. Transport
-// failures surface as 502 responses, which the workers treat like a
-// bare 503: retryable, with backoff.
-func NewHTTPTarget(name, base string) Target {
-	client := &http.Client{Timeout: 30 * time.Second}
-	return Target{Name: name, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		url := base + r.URL.Path
-		if r.URL.RawQuery != "" {
-			url += "?" + r.URL.RawQuery
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, url, r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			w.Header().Set("Retry-After", ra)
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-	})}
-}
 
 // Options configures a load run.
 type Options struct {
-	// Handler is the server under test, driven in-process. Ignored when
-	// Targets is set.
+	// Handler is the server under test, driven in-process.
 	Handler http.Handler
-	// Targets, when non-empty, spreads the workers round-robin across
-	// several endpoints (worker i drives Targets[i mod len]). The result
-	// then carries one latency summary per target next to the merged
-	// numbers.
-	Targets []Target
 	// Workers is the number of closed-loop workers, each with its own
 	// session. Defaults to 8.
 	Workers int
@@ -171,39 +119,22 @@ type Result struct {
 	P50PerDecisionUs float64 `json:"p50_per_decision_us"`
 	P99PerDecisionUs float64 `json:"p99_per_decision_us"`
 	// Errors counts unexpected failures: non-2xx responses and per-op
-	// batch errors that are neither retryable (503/transport → Retries)
-	// nor protocol resyncs (409/404 after a failover → Resyncs). A
-	// healthy run — chaos included — ends with 0.
+	// batch errors other than the sequence-protocol resyncs below. A
+	// healthy run ends with 0.
 	Errors int64 `json:"errors"`
-	// Retries counts backed-off retries of 503/transport failures.
+	// Retries stays in the result schema for its readers; nothing in
+	// this package produces it any more, so it is always 0.
 	Retries int64 `json:"retries"`
-	// Resyncs counts sequence-protocol recoveries: open decisions
-	// re-read and rewarded after a failover rewind, and sessions
-	// re-created after a promote that predated them.
+	// Resyncs counts sequence-protocol recoveries: open decisions read
+	// back and rewarded, and stale rewards dropped.
 	Resyncs int64 `json:"resyncs"`
 	// Samples is the number of latency samples behind the percentiles.
 	Samples int64 `json:"samples"`
 	// ZeroSample marks a run whose measured window closed with no
-	// samples (duration shorter than the warmup, or everything bounced):
+	// samples (a run canceled before its warmup closed):
 	// the percentiles and throughput above are reported as explicit
 	// zeros, not divisions of an empty interval.
 	ZeroSample bool `json:"zero_sample,omitempty"`
-	// PerTarget breaks the run down by target in multi-target mode.
-	PerTarget []TargetResult `json:"per_target,omitempty"`
-}
-
-// TargetResult is one target's share of a multi-target run.
-type TargetResult struct {
-	Name      string  `json:"name"`
-	Workers   int     `json:"workers"`
-	Requests  int64   `json:"requests"`
-	Decisions int64   `json:"decisions"`
-	Errors    int64   `json:"errors"`
-	Retries   int64   `json:"retries"`
-	Resyncs   int64   `json:"resyncs"`
-	Samples   int64   `json:"samples"`
-	P50Us     float64 `json:"p50_us"`
-	P99Us     float64 `json:"p99_us"`
 }
 
 // Run drives the handler until the duration elapses or ctx is canceled,
@@ -212,17 +143,8 @@ type TargetResult struct {
 // returns the partial measurement.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	opts.normalize()
-	targets := opts.Targets
-	if len(targets) == 0 {
-		if opts.Handler == nil {
-			return nil, errors.New("loadgen: Options.Handler is nil")
-		}
-		targets = []Target{{Name: "default", Handler: opts.Handler}}
-	}
-	for _, tg := range targets {
-		if tg.Handler == nil {
-			return nil, fmt.Errorf("loadgen: target %q has a nil handler", tg.Name)
-		}
+	if opts.Handler == nil {
+		return nil, errors.New("loadgen: Options.Handler is nil")
 	}
 	if err := opts.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("loadgen: spec: %w", err)
@@ -231,20 +153,17 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	var recording atomic.Bool
 	workers := make([]*worker, opts.Workers)
 	for i := range workers {
-		tg := i % len(targets)
 		var w *worker
 		var err error
 		if opts.Batch > 0 {
-			w, err = newBatchWorker(targets[tg].Handler, opts.Spec, i, opts.Batch)
+			w, err = newBatchWorker(opts.Handler, opts.Spec, i, opts.Batch)
 		} else {
-			w, err = newWorker(targets[tg].Handler, opts.Spec, i)
+			w, err = newWorker(opts.Handler, opts.Spec, i)
 		}
 		if err != nil {
 			return nil, err
 		}
 		w.rec = &recording
-		w.target = tg
-		w.rng = xrand.New(uint64(i)*0x9e3779b9 + 1)
 		workers[i] = w
 	}
 
@@ -281,36 +200,18 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		Seconds:       elapsed,
 	}
 	var hist histogram
-	perTarget := make([]TargetResult, len(targets))
-	perHist := make([]histogram, len(targets))
-	for i := range targets {
-		perTarget[i].Name = targets[i].Name
-	}
 	for _, w := range workers {
 		res.Decisions += w.decisions
 		res.Requests += w.requests
 		res.Errors += w.errors
-		res.Retries += w.retries
 		res.Resyncs += w.resyncs
 		hist.merge(&w.hist)
-		tr := &perTarget[w.target]
-		tr.Workers++
-		tr.Requests += w.requests
-		tr.Decisions += w.decisions
-		tr.Errors += w.errors
-		tr.Retries += w.retries
-		tr.Resyncs += w.resyncs
-		perHist[w.target].merge(&w.hist)
 	}
 	res.Samples = hist.count
 	if hist.count == 0 {
-		// An empty measured window (duration shorter than the warmup, or
-		// every request bounced) reports explicit zeros, never a quantile
-		// over nothing.
+		// An empty measured window reports explicit zeros, never a
+		// quantile over nothing.
 		res.ZeroSample = true
-		if len(targets) > 1 {
-			res.PerTarget = perTarget
-		}
 		return res, nil
 	}
 	if elapsed > 0 {
@@ -327,16 +228,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	res.P50PerDecisionUs = res.P50Us / perReq
 	res.P99PerDecisionUs = res.P99Us / perReq
-	if len(targets) > 1 {
-		for i := range perTarget {
-			perTarget[i].Samples = perHist[i].count
-			if perHist[i].count > 0 {
-				perTarget[i].P50Us = perHist[i].quantile(0.50) / 1000
-				perTarget[i].P99Us = perHist[i].quantile(0.99) / 1000
-			}
-		}
-		res.PerTarget = perTarget
-	}
 	return res, nil
 }
 
@@ -350,12 +241,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 // request/recorder pairs, which matters because every µs the generator
 // burns is a µs the server under test cannot.
 type worker struct {
-	h      http.Handler
-	base   string
-	rec    *atomic.Bool // flips true when the measured window opens
-	target int
-	rng    *xrand.Rand // backoff jitter
-	spec   serve.Spec  // the worker's (seed-diversified) session spec
+	h    http.Handler
+	base string
+	rec  *atomic.Bool // flips true when the measured window opens
 
 	// Scalar mode.
 	id        string
@@ -365,25 +253,21 @@ type worker struct {
 	// Batch mode (active when len(ids) > 0): the worker's sessions and
 	// each one's pending decision awaiting its reward.
 	ids      []string
-	specs    []serve.Spec
 	pend     []pending
 	batchReq *http.Request
 	// Per-round bookkeeping for error recovery: which session each
-	// reward op belongs to, and which sessions need an out-of-band
-	// resync or re-create after the round.
-	rewardIdx  []int
-	needInfo   []bool
-	needCreate []bool
+	// reward op belongs to, and which sessions need their open decision
+	// read back after the round.
+	rewardIdx []int
+	needInfo  []bool
 
 	body   memBody
 	reqBuf []byte
 	resp   respWriter
 
-	attempt   int // consecutive retryable failures, shapes the backoff
 	decisions int64
 	requests  int64
 	errors    int64
-	retries   int64
 	resyncs   int64
 	hist      histogram
 }
@@ -471,25 +355,6 @@ func createSession(h http.Handler, spec serve.Spec) (string, error) {
 	return cr.ID, nil
 }
 
-// createSessionAt re-creates a session under a known id via the
-// idempotent PUT — how a worker resurrects its session after a failover
-// promoted a replica that never saw it. The restarted session replays
-// the same decision stream the original produced (same id, same spec,
-// same seed).
-func createSessionAt(h http.Handler, id string, spec serve.Spec) error {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	req := httptest.NewRequest("PUT", "/v1/sessions/"+id, strings.NewReader(string(body)))
-	rw := httptest.NewRecorder()
-	h.ServeHTTP(rw, req)
-	if rw.Code != http.StatusCreated && rw.Code != http.StatusOK {
-		return fmt.Errorf("loadgen: recreate session %s: status %d: %s", id, rw.Code, rw.Body.String())
-	}
-	return nil
-}
-
 // newWorker creates a scalar worker's session (outside the measured
 // phase).
 func newWorker(h http.Handler, spec serve.Spec, idx int) (*worker, error) {
@@ -498,7 +363,7 @@ func newWorker(h http.Handler, spec serve.Spec, idx int) (*worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &worker{h: h, base: "/v1/sessions/" + id, id: id, spec: spec}
+	w := &worker{h: h, base: "/v1/sessions/" + id, id: id}
 	w.stepReq = httptest.NewRequest("POST", w.base+"/step", nil)
 	w.stepReq.Body = http.NoBody
 	w.rewardReq = httptest.NewRequest("POST", w.base+"/reward", nil)
@@ -511,9 +376,8 @@ func newWorker(h http.Handler, spec serve.Spec, idx int) (*worker, error) {
 // through /v1/batch.
 func newBatchWorker(h http.Handler, spec serve.Spec, idx, batch int) (*worker, error) {
 	w := &worker{
-		h: h, ids: make([]string, batch), specs: make([]serve.Spec, batch),
-		pend: make([]pending, batch), rewardIdx: make([]int, 0, batch),
-		needInfo: make([]bool, batch), needCreate: make([]bool, batch),
+		h: h, ids: make([]string, batch), pend: make([]pending, batch),
+		rewardIdx: make([]int, 0, batch), needInfo: make([]bool, batch),
 	}
 	for j := range w.ids {
 		sp := spec
@@ -523,63 +387,11 @@ func newBatchWorker(h http.Handler, spec serve.Spec, idx, batch int) (*worker, e
 			return nil, err
 		}
 		w.ids[j] = id
-		w.specs[j] = sp
 	}
 	w.batchReq = httptest.NewRequest("POST", "/v1/batch", nil)
 	w.batchReq.Body = &w.body
 	w.resp.hdr = make(http.Header, 2)
 	return w, nil
-}
-
-// retryable reports whether a status is worth backing off and retrying:
-// 503 (draining node, dead node, mid-failover router) and 502 (the
-// HTTP-proxy target's transport failure).
-func retryable(code int) bool {
-	return code == http.StatusServiceUnavailable || code == http.StatusBadGateway
-}
-
-// Backoff shape for retryable failures.
-const (
-	backoffBase = 2 * time.Millisecond
-	backoffMax  = 250 * time.Millisecond
-	// retryAfterCap bounds how long a Retry-After hint is honored; load
-	// generation should probe recovery, not nap through it.
-	retryAfterCap = 2 * time.Second
-)
-
-// backoff sleeps before the next retry: the server's Retry-After hint
-// when one arrived (a draining node knows its own timeline), otherwise
-// jittered exponential in the worker's consecutive-failure count. The
-// jitter decorrelates the worker fleet so a failover is not greeted by
-// a synchronized stampede. Returns false when ctx ended mid-sleep.
-func (w *worker) backoff(ctx context.Context) bool {
-	d := time.Duration(0)
-	if ra := w.resp.hdr.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-			d = time.Duration(secs) * time.Second
-			if d > retryAfterCap {
-				d = retryAfterCap
-			}
-		}
-	}
-	if d == 0 {
-		d = backoffBase << uint(w.attempt)
-		if d > backoffMax {
-			d = backoffMax
-		}
-		d = time.Duration(float64(d) * (0.5 + w.rng.Float64())) // [0.5, 1.5)
-	}
-	if w.attempt < 8 {
-		w.attempt++
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // errCode extracts the typed code from a serve error envelope (cold
@@ -617,10 +429,8 @@ func sessionInfo(h http.Handler, id string) (seq uint64, open bool, arm int, cod
 
 // runScalar is the scalar closed loop. It checks ctx between decisions,
 // not between the step and its reward, so a canceled run never leaves
-// the session with an open decision. Failure handling mirrors what any
-// well-behaved cluster client must do: back off on 503s, resync the
-// sequence protocol on 409s, re-create the session on 404s — and only
-// count an error when none of those apply.
+// the session with an open decision. A step that bounces off an open
+// decision resyncs the sequence protocol; any other failure is an error.
 func (w *worker) runScalar(ctx context.Context) {
 	var stepResp struct {
 		Seq uint64 `json:"seq"`
@@ -630,10 +440,9 @@ func (w *worker) runScalar(ctx context.Context) {
 		recording := w.rec.Load()
 		body, code := w.do(w.stepReq, recording)
 		if code != http.StatusOK {
-			w.recoverScalar(ctx, body, code, recording)
+			w.recoverScalar(body, code, recording)
 			continue
 		}
-		w.attempt = 0
 		if err := json.Unmarshal(body, &stepResp); err != nil {
 			if recording {
 				w.errors++
@@ -659,25 +468,16 @@ func (w *worker) rewardScalar(seq uint64, arm int, recording bool) bool {
 	b = append(b, '}')
 	w.reqBuf = b
 	w.body.reset(b)
-	body, code := w.do(w.rewardReq, recording)
+	_, code := w.do(w.rewardReq, recording)
 	if code == http.StatusOK {
 		return true
 	}
-	switch {
-	case retryable(code):
-		// The reward will be re-derived after a resync; nothing to keep.
-		if recording {
-			w.retries++
-		}
-	case code == http.StatusConflict || code == http.StatusNotFound:
-		// no_open_step / seq_mismatch / deleted session: the next step
-		// (or its step_open recovery) resolves it.
-		if recording {
+	if recording {
+		if code == http.StatusConflict {
+			// no_open_step / seq_mismatch: the next step (or its step_open
+			// recovery) resolves it.
 			w.resyncs++
-		}
-		_ = body
-	default:
-		if recording {
+		} else {
 			w.errors++
 		}
 	}
@@ -685,39 +485,22 @@ func (w *worker) rewardScalar(seq uint64, arm int, recording bool) bool {
 }
 
 // recoverScalar resolves a failed step request.
-func (w *worker) recoverScalar(ctx context.Context, body []byte, code int, recording bool) {
-	switch {
-	case retryable(code):
-		if recording {
-			w.retries++
-		}
-		w.backoff(ctx)
-	case code == http.StatusConflict && errCode(body) == serve.CodeStepOpen:
-		// A decision is open server-side that this client never saw the
-		// reward ack for (lost response, or a failover rewound the
-		// session to its last checkpoint). Read it back and reward it
-		// with the same deterministic function — the stream continues
-		// byte-identically.
-		seq, open, arm, st := sessionInfo(w.h, w.id)
-		if st == http.StatusOK && open {
-			w.rewardScalar(seq, arm, recording)
-		}
-		if recording {
-			w.resyncs++
-		}
-	case code == http.StatusNotFound:
-		// The session predates the replica's first committed checkpoint:
-		// re-create it under the same id and spec; the replayed stream
-		// is identical by determinism.
-		if err := createSessionAt(w.h, w.id, w.spec); err == nil && recording {
-			w.resyncs++
-		} else if recording && err != nil {
-			w.errors++
-		}
-	default:
+func (w *worker) recoverScalar(body []byte, code int, recording bool) {
+	if code != http.StatusConflict || errCode(body) != serve.CodeStepOpen {
 		if recording {
 			w.errors++
 		}
+		return
+	}
+	// A decision is open server-side that this client never saw the
+	// reward ack for. Read it back and reward it with the same
+	// deterministic function — the stream continues byte-identically.
+	seq, open, arm, st := sessionInfo(w.h, w.id)
+	if st == http.StatusOK && open {
+		w.rewardScalar(seq, arm, recording)
+	}
+	if recording {
+		w.resyncs++
 	}
 }
 
@@ -764,56 +547,33 @@ func (w *worker) runBatch(ctx context.Context) {
 		w.body.reset(b)
 		body, code := w.do(w.batchReq, recording)
 		if code != http.StatusOK {
-			if retryable(code) {
-				// Pending rewards survive the retry: the same body is
-				// rebuilt next round, and the sequence protocol dedupes
-				// anything the server did manage to apply.
-				if recording {
-					w.retries++
-				}
-				w.backoff(ctx)
-			} else if recording {
+			if recording {
 				w.errors++
 			}
 			continue
 		}
-		w.attempt = 0
 		w.applyBatchResults(body, nRewards, recording)
 		w.resolveBatch(recording)
 	}
 }
 
-// resolveBatch runs the out-of-band recoveries a round's per-op errors
-// called for: resync sessions with an unexpected open decision (reward
-// it deterministically next round), re-create sessions a promoted
-// replica never had.
+// resolveBatch reads back the open decisions of sessions whose step
+// bounced off one this client never closed, so the next round rewards
+// them deterministically.
 func (w *worker) resolveBatch(recording bool) {
 	for j := range w.ids {
-		if w.needInfo[j] {
-			w.needInfo[j] = false
-			seq, open, arm, st := sessionInfo(w.h, w.ids[j])
-			switch {
-			case st == http.StatusOK && open:
-				w.pend[j] = pending{has: true, seq: seq, arm: arm}
-			case st == http.StatusNotFound:
-				w.needCreate[j] = true
-			default:
-				w.pend[j].has = false
-			}
-			if recording {
-				w.resyncs++
-			}
+		if !w.needInfo[j] {
+			continue
 		}
-		if w.needCreate[j] {
-			w.needCreate[j] = false
+		w.needInfo[j] = false
+		seq, open, arm, st := sessionInfo(w.h, w.ids[j])
+		if st == http.StatusOK && open {
+			w.pend[j] = pending{has: true, seq: seq, arm: arm}
+		} else {
 			w.pend[j].has = false
-			if err := createSessionAt(w.h, w.ids[j], w.specs[j]); err == nil {
-				if recording {
-					w.resyncs++
-				}
-			} else if recording {
-				w.errors++
-			}
+		}
+		if recording {
+			w.resyncs++
 		}
 	}
 }
@@ -910,24 +670,15 @@ func (w *worker) classifyOpError(ri, nRewards int, code string, recording bool) 
 	}
 	switch code {
 	case serve.CodeStepOpen:
-		// A step bounced off an open decision this client never closed —
-		// the failover-rewind signature. Re-read and reward it after the
-		// round.
+		// A step bounced off an open decision this client never closed.
+		// Re-read and reward it after the round.
 		w.needInfo[j] = true
 	case serve.CodeNoOpenStep, serve.CodeSeqMismatch:
-		// A stale reward (duplicate delivery, or the open decision moved
-		// under a failover). Drop it; the step path re-learns the truth.
+		// A stale reward (duplicate delivery). Drop it; the step path
+		// re-learns the truth.
 		w.pend[j].has = false
 		if recording {
 			w.resyncs++
-		}
-	case serve.CodeNotFound:
-		w.needCreate[j] = true
-	case serve.CodeUnavailable, serve.CodeDraining:
-		// The op's owner is mid-failover or draining; keep the pending
-		// reward and let the next round retry it.
-		if recording {
-			w.retries++
 		}
 	default:
 		w.pend[j].has = false
@@ -938,7 +689,8 @@ func (w *worker) classifyOpError(ri, nRewards int, code string, recording bool) 
 }
 
 // batchErrCodeAt extracts the code from an error result element without
-// allocating (the hot loop stays zero-alloc even while chaos rains).
+// allocating. It recognizes only the sequence-protocol codes the workers
+// recover from; every other code comes back as "".
 func batchErrCodeAt(b []byte, pos int) string {
 	const prefix = `{"error":{"code":"`
 	if !hasAt(b, pos, prefix) {
@@ -949,21 +701,12 @@ func batchErrCodeAt(b []byte, pos int) string {
 	for end < len(b) && b[end] != '"' {
 		end++
 	}
-	switch {
-	case hasAt(b, start, serve.CodeStepOpen) && end-start == len(serve.CodeStepOpen):
-		return serve.CodeStepOpen
-	case hasAt(b, start, serve.CodeNoOpenStep) && end-start == len(serve.CodeNoOpenStep):
-		return serve.CodeNoOpenStep
-	case hasAt(b, start, serve.CodeSeqMismatch) && end-start == len(serve.CodeSeqMismatch):
-		return serve.CodeSeqMismatch
-	case hasAt(b, start, serve.CodeNotFound) && end-start == len(serve.CodeNotFound):
-		return serve.CodeNotFound
-	case hasAt(b, start, serve.CodeUnavailable) && end-start == len(serve.CodeUnavailable):
-		return serve.CodeUnavailable
-	case hasAt(b, start, serve.CodeDraining) && end-start == len(serve.CodeDraining):
-		return serve.CodeDraining
+	for _, code := range [...]string{serve.CodeStepOpen, serve.CodeNoOpenStep, serve.CodeSeqMismatch} {
+		if end-start == len(code) && hasAt(b, start, code) {
+			return code
+		}
 	}
-	return string(b[start:end])
+	return ""
 }
 
 // batchDesync records a malformed or truncated batch response and drops

@@ -145,6 +145,26 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestNoClusterRoutes: the readiness probe and caller-named session
+// creation are not part of the single-node API.
+func TestNoClusterRoutes(t *testing.T) {
+	srv := New(Config{})
+	cases := []struct {
+		method, path, body string
+		status             int
+	}{
+		{"GET", "/readyz", "", http.StatusNotFound},
+		{"PUT", "/v1/sessions/x", `{"algo":"ducb","arms":2}`, http.StatusMethodNotAllowed},
+	}
+	for _, c := range cases {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if w.Code != c.status {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, w.Code, c.status)
+		}
+	}
+}
+
 // TestPanicFaultRecovered arms the chaos panic fault at full intensity and
 // verifies the handler answers 500 instead of crashing, and that the
 // session remains usable.

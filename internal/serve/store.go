@@ -167,9 +167,9 @@ func (st *Store) lockedBuildSession(sh *shard, id string, spec Spec) (*Session, 
 }
 
 // Create builds a session from spec under a fresh id and registers it.
-// Counter ids can collide with caller-chosen CreateWithID names (or with
-// sessions restored from a checkpoint written under a higher counter),
-// so the counter advances until it lands on a free id.
+// Counter ids can collide with sessions restored from a checkpoint whose
+// records carry ids above its next_id, so the counter advances until it
+// lands on a free id.
 func (st *Store) Create(spec Spec) (*Session, error) {
 	spec.normalize()
 	for {
@@ -189,71 +189,6 @@ func (st *Store) Create(spec Spec) (*Session, error) {
 		sh.mu.Unlock()
 		return s, nil
 	}
-}
-
-// maxSessionID bounds caller-chosen session ids; they travel in URL
-// paths and checkpoint keys.
-const maxSessionID = 96
-
-// validSessionID vets a caller-chosen id: printable ASCII, no path
-// separators or quotes (ids are spliced into URLs and hand-built JSON).
-func validSessionID(id string) error {
-	if id == "" || len(id) > maxSessionID {
-		return fmt.Errorf("session id must be 1..%d bytes", maxSessionID)
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if c <= ' ' || c > '~' || c == '/' || c == '"' || c == '\\' || c == '%' {
-			return fmt.Errorf("session id %q: byte %d is not a plain URL-safe character", id, i)
-		}
-	}
-	return nil
-}
-
-// CreateWithID builds a session from spec under a caller-chosen id.
-// When the id is already registered with an identical spec the existing
-// session is returned with created=false — the idempotent outcome a
-// retried PUT needs; a differing spec is a typed CodeConflict error.
-func (st *Store) CreateWithID(id string, spec Spec) (s *Session, created bool, err error) {
-	if err := validSessionID(id); err != nil {
-		return nil, false, err
-	}
-	spec.normalize()
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if prev, ok := sh.m[id]; ok {
-		if specEqual(prev.spec, spec) {
-			return prev, false, nil
-		}
-		return nil, false, &ProtocolError{
-			Code: CodeConflict,
-			Msg:  fmt.Sprintf("session %s exists with a different spec", id),
-		}
-	}
-	s, err = st.lockedBuildSession(sh, id, spec)
-	if err != nil {
-		return nil, false, err
-	}
-	sh.m[id] = s
-	return s, true, nil
-}
-
-// specEqual compares two normalized specs field by field.
-func specEqual(a, b Spec) bool {
-	if a.Algo != b.Algo || a.Arms != b.Arms || a.Seed != b.Seed || a.Faults != b.Faults ||
-		a.MaxContexts != b.MaxContexts {
-		return false
-	}
-	if len(a.MetaPairs) != len(b.MetaPairs) {
-		return false
-	}
-	for i := range a.MetaPairs {
-		if a.MetaPairs[i] != b.MetaPairs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Get returns the session with the given id.
