@@ -5,9 +5,9 @@ import (
 )
 
 // The parallel engine's contract: any worker count produces the exact
-// bytes a serial run produces. These tests run the two experiments the
-// CI race job exercises most (one prefetch-side, one SMT-side) at
-// Workers=1 and Workers=8 on the Smoke preset and require identical
+// bytes a serial run produces. These tests run two prefetch-side
+// experiments (Table 8, Fig. 8) and two SMT-side ones (Fig. 13, Fig. 15)
+// at Workers=1 and Workers=8 on the Smoke preset and require identical
 // rendered output and identical CSV rows.
 
 func smokeDeterminism() Options {
@@ -54,4 +54,20 @@ func TestFig8DeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("short mode")
 	}
 	assertWorkersInvariant(t, "fig8")
+}
+
+// Fig. 13 runs one job per (mix, Choi/ICount/Bandit run); each run derives
+// its own seed, so the job split cannot reach the output.
+func TestFig13DeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	assertWorkersInvariant(t, "fig13")
+}
+
+func TestFig15DeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	assertWorkersInvariant(t, "fig15")
 }

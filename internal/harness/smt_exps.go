@@ -215,15 +215,27 @@ type Fig13Result struct {
 	LossOver4Pct int
 }
 
-// Fig13 runs Bandit, Choi, and ICount on every mix.
+// Fig13 runs Bandit, Choi, and ICount on every mix, one job per run.
 func Fig13(o Options) Fig13Result {
 	mixes := o.mixes(smtwork.Mixes())
-	runs := runJobs(o, mixes, func(mix smtwork.Mix) [3]float64 {
-		return [3]float64{
-			o.runSMTFixed(mix, "choi", simsmt.ChoiPolicy, true).SumIPC,
-			o.runSMTFixed(mix, "icount", simsmt.ICountPolicy, false).SumIPC,
-			o.runSMTCtrl(mix, "bandit",
-				simsmt.NewBanditAgent(o.subSeed("fig13", mix.Name()))).SumIPC,
+	const choiRun, icountRun, banditRun, runsPerMix = 0, 1, 2, 3
+	type job struct{ mixIdx, run int }
+	jobs := make([]job, 0, runsPerMix*len(mixes))
+	for mi := range mixes {
+		for k := 0; k < runsPerMix; k++ {
+			jobs = append(jobs, job{mi, k})
+		}
+	}
+	ipcs := runJobs(o, jobs, func(j job) float64 {
+		mix := mixes[j.mixIdx]
+		switch j.run {
+		case choiRun:
+			return o.runSMTFixed(mix, "choi", simsmt.ChoiPolicy, true).SumIPC
+		case icountRun:
+			return o.runSMTFixed(mix, "icount", simsmt.ICountPolicy, false).SumIPC
+		default:
+			return o.runSMTCtrl(mix, "bandit",
+				simsmt.NewBanditAgent(o.subSeed("fig13", mix.Name()))).SumIPC
 		}
 	})
 
@@ -234,8 +246,10 @@ func Fig13(o Options) Fig13Result {
 	}
 	rows := make([]row, 0, len(mixes))
 	for mi, mix := range mixes {
-		choi, ic, bandit := runs[mi][0], runs[mi][1], runs[mi][2]
-		if choi <= 0 || ic <= 0 {
+		run := ipcs[runsPerMix*mi : runsPerMix*(mi+1)]
+		choi, ic, bandit := run[choiRun], run[icountRun], run[banditRun]
+		// A failed job leaves a zero IPC; its mix is left out.
+		if choi <= 0 || ic <= 0 || bandit <= 0 {
 			continue
 		}
 		rows = append(rows, row{name: mix.Name(), ratio: bandit / choi, vsIC: bandit / ic})

@@ -1,8 +1,8 @@
 package simsmt
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
 	"microbandit/internal/smtwork"
 )
@@ -93,25 +93,63 @@ type thread struct {
 
 func (t *thread) fetchQLen() int { return len(t.fetchQ) - t.qHead }
 
-// release events (IQ frees at issue; SQ frees at drain).
-type release struct {
-	cycle  int64
-	thread int
-	what   uint8 // 0 = IQ, 1 = SQ
+// occupied is the thread's shared-structure occupancy (ROB+IQ+LQ+SQ).
+func (t *thread) occupied() int64 { return int64(t.robCount + t.iq + t.lq + t.sq) }
+
+// releaseQueue is a binary min-heap of scheduled structure releases (IQ
+// frees at issue, SQ at drain), each packed as cycle<<2 | thread<<1 | what
+// with what 0 = IQ, 1 = SQ. Every release due by a cycle is applied at the
+// top of that cycle and only decrements a counter, so the order among
+// same-cycle releases is unobservable.
+type releaseQueue []int64
+
+const (
+	releaseIQ = 0
+	releaseSQ = 1
+)
+
+func (q *releaseQueue) push(cycle int64, thread int, what int64) {
+	h := append(*q, 0)
+	x := cycle<<2 | int64(thread)<<1 | what
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= x {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	*q = h
 }
 
-type releaseHeap []release
-
-func (h releaseHeap) Len() int            { return len(h) }
-func (h releaseHeap) Less(i, j int) bool  { return h[i].cycle < h[j].cycle }
-func (h releaseHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x interface{}) { *h = append(*h, x.(release)) }
-func (h *releaseHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// pop removes and returns the earliest release.
+func (q *releaseQueue) pop() int64 {
+	h := *q
+	top, n := h[0], len(h)-1
+	x := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if x <= h[c] {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = x
+	}
+	*q = h
+	return top
 }
 
 // SMT is the 2-way SMT pipeline.
@@ -122,7 +160,7 @@ type SMT struct {
 	share   [2]float64 // per-thread structure share (Hill Climbing output)
 
 	cycle    int64
-	releases releaseHeap
+	releases releaseQueue
 	rename   RenameStats
 	rrNext   int // round-robin fetch pointer
 	commitRR int // alternating commit precedence
@@ -190,8 +228,11 @@ func (s *SMT) RenameStats() RenameStats { return s.rename }
 
 // RunCycles advances the pipeline n cycles.
 func (s *SMT) RunCycles(n int64) {
-	for i := int64(0); i < n; i++ {
-		s.stepCycle()
+	end := s.cycle + n
+	for s.cycle < end {
+		if !s.stepCycle() {
+			s.skipDead(end)
+		}
 	}
 }
 
@@ -200,7 +241,9 @@ func (s *SMT) RunCycles(n int64) {
 // cycle cap to guard against pathological configurations.
 func (s *SMT) RunUntilCommitted(n int64, maxCycles int64) {
 	for (s.threads[0].committed < n || s.threads[1].committed < n) && s.cycle < maxCycles {
-		s.stepCycle()
+		if !s.stepCycle() {
+			s.skipDead(maxCycles)
+		}
 	}
 }
 
@@ -209,33 +252,83 @@ func (s *SMT) RunUntilCommitted(n int64, maxCycles int64) {
 // resource-usage efficiency.
 func (s *SMT) OccupancyIntegral(t int) int64 { return s.occAccum[t] }
 
-// stepCycle advances one cycle: releases, commit, rename, fetch.
-func (s *SMT) stepCycle() {
+// stepCycle advances one cycle: releases, commit, rename, fetch. It
+// reports whether the cycle was live: whether it applied a release,
+// committed, renamed or fetched anything.
+func (s *SMT) stepCycle() bool {
 	s.cycle++
 	for i, t := range s.threads {
-		s.occAccum[i] += int64(t.robCount + t.iq + t.lq + t.sq)
+		s.occAccum[i] += t.occupied()
 	}
-	// Apply scheduled structure releases.
-	for len(s.releases) > 0 && s.releases[0].cycle <= s.cycle {
-		r := heap.Pop(&s.releases).(release)
-		t := s.threads[r.thread]
-		if r.what == 0 {
+	released := false
+	for len(s.releases) > 0 && s.releases[0]>>2 <= s.cycle {
+		r := s.releases.pop()
+		t := s.threads[r>>1&1]
+		if r&releaseSQ == 0 {
 			t.iq--
 		} else {
 			t.sq--
 		}
+		released = true
 	}
-	s.commit()
-	s.renameStage()
-	s.fetch()
+	committed := s.commit()
+	counter, renamed := s.renameStage(s.cycle)
+	*counter++
+	fetched := s.fetch()
+	return released || committed || renamed || fetched
 }
 
-// commit retires completed uops in order, alternating thread precedence.
-func (s *SMT) commit() {
+// skipDead fast-forwards from a dead cycle to just before the next cycle
+// that can change anything, but not past bound. After a dead cycle the
+// pipeline is frozen: a blocked rename head or a gated thread stays
+// blocked until a commit or release, awaitBranch clears only on a rename,
+// and share and policy are constant within one run call. So nothing can
+// happen before the earliest release, ROB-head completion, future
+// fetch-queue head rename-ready cycle or future redirect end. Each skipped
+// cycle is charged exactly what stepping it would charge.
+func (s *SMT) skipDead(bound int64) {
+	next := int64(math.MaxInt64)
+	if len(s.releases) > 0 {
+		next = s.releases[0] >> 2
+	}
+	for _, t := range s.threads {
+		if t.robCount > 0 {
+			next = min(next, t.rob[t.robHead].complete)
+		}
+		if t.fetchQLen() > 0 && t.fetchQ[t.qHead].renameReady > s.cycle {
+			next = min(next, t.fetchQ[t.qHead].renameReady)
+		}
+		if t.blockedTill > s.cycle {
+			next = min(next, t.blockedTill)
+		}
+	}
+	c := s.cycle
+	k := min(next-1, bound) - c
+	if k <= 0 {
+		return
+	}
+	// A frozen cycle renames nothing, and its Fig. 15 class depends only on
+	// its parity, which sets the order renameStage visits the threads in.
+	counter, _ := s.renameStage(c + 1)
+	*counter += (k + 1) / 2
+	if k > 1 {
+		counter, _ = s.renameStage(c + 2)
+		*counter += k / 2
+	}
+	for i, t := range s.threads {
+		s.occAccum[i] += k * t.occupied()
+	}
+	s.commitRR ^= int(k & 1)
+	s.cycle += k
+}
+
+// commit retires completed uops in order, alternating thread precedence,
+// and reports whether it retired any.
+func (s *SMT) commit() bool {
 	budget := s.cfg.CommitWidth
 	first := s.commitRR
 	s.commitRR ^= 1
-	for _, ti := range []int{first, first ^ 1} {
+	for _, ti := range [2]int{first, first ^ 1} {
 		t := s.threads[ti]
 		for budget > 0 && t.robCount > 0 {
 			e := &t.rob[t.robHead]
@@ -250,7 +343,7 @@ func (s *SMT) commit() {
 				if drain <= s.cycle {
 					t.sq--
 				} else {
-					heap.Push(&s.releases, release{cycle: drain, thread: ti, what: 1})
+					s.releases.push(drain, ti, releaseSQ)
 				}
 			case smtwork.UopBranch:
 				t.branches--
@@ -270,6 +363,7 @@ func (s *SMT) commit() {
 			budget--
 		}
 	}
+	return budget < s.cfg.CommitWidth
 }
 
 // stall causes for rename accounting.
@@ -284,26 +378,25 @@ const (
 	stallRF
 )
 
-// renameStage moves uops from the fetch queues into the backend, charging
-// structure occupancy, and classifies the cycle for Fig. 15.
-func (s *SMT) renameStage() {
+// renameStage moves uops that are ready at cycle at from the fetch queues
+// into the backend, visiting the threads in that cycle's order and charging
+// structure occupancy. It returns the Fig. 15 counter the cycle belongs to
+// and whether it renamed anything.
+func (s *SMT) renameStage(at int64) (counter *int64, renamed bool) {
 	budget := s.cfg.DecodeWidth
-	renamed := 0
 	cause := stallNone
-	sawReady := false
 
-	first := int(s.cycle) & 1
-	for _, ti := range []int{first, first ^ 1} {
+	first := int(at) & 1
+	for _, ti := range [2]int{first, first ^ 1} {
 		t := s.threads[ti]
 		for budget > 0 {
 			if t.fetchQLen() == 0 {
 				break
 			}
 			f := &t.fetchQ[t.qHead]
-			if f.renameReady > s.cycle {
+			if f.renameReady > at {
 				break
 			}
-			sawReady = true
 			if c := s.resourceBlock(t, &f.uop); c != stallNone {
 				if cause == stallNone {
 					cause = c
@@ -317,30 +410,24 @@ func (s *SMT) renameStage() {
 				t.qHead = 0
 			}
 			budget--
-			renamed++
 		}
 	}
 
 	switch {
-	case renamed > 0:
-		s.rename.Running++
-	case cause != stallNone:
-		switch cause {
-		case stallROB:
-			s.rename.StallROB++
-		case stallIQ:
-			s.rename.StallIQ++
-		case stallLQ:
-			s.rename.StallLQ++
-		case stallSQ:
-			s.rename.StallSQ++
-		case stallRF:
-			s.rename.StallRF++
-		}
-	case sawReady:
-		s.rename.Running++ // renamed zero only because budget was zero
+	case budget < s.cfg.DecodeWidth:
+		return &s.rename.Running, true
+	case cause == stallROB:
+		return &s.rename.StallROB, false
+	case cause == stallIQ:
+		return &s.rename.StallIQ, false
+	case cause == stallLQ:
+		return &s.rename.StallLQ, false
+	case cause == stallSQ:
+		return &s.rename.StallSQ, false
+	case cause == stallRF:
+		return &s.rename.StallRF, false
 	default:
-		s.rename.Idle++
+		return &s.rename.Idle, false
 	}
 }
 
@@ -400,7 +487,7 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 
 	// IQ entry held from rename until the uop starts executing.
 	t.iq++
-	heap.Push(&s.releases, release{cycle: start, thread: ti, what: 0})
+	s.releases.push(start, ti, releaseIQ)
 
 	e := robEntry{complete: complete, kind: u.Kind}
 	switch u.Kind {
@@ -432,11 +519,13 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 	t.seq++
 }
 
-// fetch picks one thread per the PG policy and fetches FetchWidth uops.
-func (s *SMT) fetch() {
+// fetch picks one thread per the PG policy and fetches up to FetchWidth
+// uops, reporting whether it picked one (a fetchable thread always has
+// room for at least one uop).
+func (s *SMT) fetch() bool {
 	ti := s.chooseFetchThread()
 	if ti < 0 {
-		return
+		return false
 	}
 	t := s.threads[ti]
 	for k := 0; k < s.cfg.FetchWidth; k++ {
@@ -453,6 +542,7 @@ func (s *SMT) fetch() {
 			break
 		}
 	}
+	return true
 }
 
 // gated reports whether thread ti exceeds its occupancy share in any

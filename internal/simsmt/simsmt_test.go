@@ -272,12 +272,20 @@ func TestNewPanicsOnBadWidths(t *testing.T) {
 	New(Config{}, nil, nil)
 }
 
+// BenchmarkPipelineCycle times one simulated cycle on a busy mix
+// (gcc-lbm) and on a DRAM-bound one (mcf-lbm), where most cycles are
+// dead and skipped.
 func BenchmarkPipelineCycle(b *testing.B) {
-	p1, _ := smtwork.ByName("gcc")
-	p2, _ := smtwork.ByName("lbm")
-	sim := NewSim(p1, p2, 1)
-	b.ResetTimer()
-	sim.RunCycles(int64(b.N))
+	for _, pair := range [][2]string{{"gcc", "lbm"}, {"mcf", "lbm"}} {
+		b.Run(pair[0]+"-"+pair[1], func(b *testing.B) {
+			p1, _ := smtwork.ByName(pair[0])
+			p2, _ := smtwork.ByName(pair[1])
+			sim := NewSim(p1, p2, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			sim.RunCycles(int64(b.N))
+		})
+	}
 }
 
 // FuzzParsePolicy: ParsePolicy must never panic and must round-trip with

@@ -138,7 +138,7 @@ func (g *Gen) Profile() Profile { return g.p }
 func (g *Gen) Next(u *Uop) {
 	*u = Uop{Lat: 1}
 	x := g.rng.Float64()
-	p := g.p
+	p := &g.p
 	switch {
 	case x < p.LoadFrac:
 		u.Kind = UopLoad

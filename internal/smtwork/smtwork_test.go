@@ -181,3 +181,16 @@ func TestQuickUopInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func BenchmarkGenNext(b *testing.B) {
+	p, _ := ByName("lbm")
+	g := NewGen(p, 1)
+	var u Uop
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Next(&u)
+	}
+	sinkUop = u
+}
+
+var sinkUop Uop
