@@ -9,7 +9,7 @@
 //	mab-prefetch -app lbm17 -pf bandit [-insts 4000000] [-mtps 2400]
 //	             [-algo ducb|ucb|eps|single|periodic|static:N]
 //	             [-faults noise:0.5,stuckarm:1] [-trace] [-list]
-//	             [-telemetry out.jsonl] [-telemetry-every 100]
+//	             [-telemetry out.jsonl] [-telemetry-every 100] [-sim-fields]
 //	mab-prefetch -app lbm17,mcf06,bfs -j 4
 //	mab-prefetch -app all -j 0
 //
@@ -17,6 +17,10 @@
 // across -j worker goroutines and the reports print in input order. A
 // failing app is reported on stderr without taking down its siblings.
 // Bad flag values exit 2 with the valid choices.
+//
+// -telemetry writes the JSONL event stream plus timeline.csv and
+// regret.csv next to it, byte-identical at every -j value; -sim-fields
+// adds the simulator-effectiveness fields to its interval events.
 package main
 
 import (
@@ -30,8 +34,8 @@ import (
 	"syscall"
 
 	"microbandit/internal/core"
-	"microbandit/internal/cpu"
 	"microbandit/internal/fault"
+	"microbandit/internal/harness"
 	"microbandit/internal/mem"
 	"microbandit/internal/obs"
 	"microbandit/internal/par"
@@ -44,13 +48,11 @@ import (
 type runConfig struct {
 	pfName    string
 	algo      string
-	insts     int64
-	stepL2    int
 	seed      uint64
 	showTrace bool
+	simFields bool
 	memCfg    mem.Config
 	faults    fault.Set
-	obsEvery  int
 }
 
 func main() {
@@ -66,6 +68,7 @@ func main() {
 	showTrace := flag.Bool("trace", false, "print the arm exploration trace")
 	telemetry := flag.String("telemetry", "", "write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
 	telemetryEvery := flag.Int("telemetry-every", 100, "telemetry snapshot/interval cadence in bandit steps")
+	simFields := flag.Bool("sim-fields", false, "with -telemetry: add simulator-effectiveness fields (chunk_hit_rate, ff_coverage) to interval events")
 	list := flag.Bool("list", false, "list catalog applications and exit")
 	workers := flag.Int("j", 0, "worker goroutines for multi-app runs (0 = one per CPU)")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -123,14 +126,13 @@ func main() {
 	}
 	memCfg.MTPS = *mtps
 	cfg := runConfig{
-		pfName: *pfName, algo: *algo, insts: *insts, stepL2: *stepL2,
-		seed: *seed, showTrace: *showTrace, memCfg: memCfg, faults: faults,
-		obsEvery: *telemetryEvery,
+		pfName: *pfName, algo: *algo, seed: *seed, showTrace: *showTrace,
+		simFields: *simFields, memCfg: memCfg, faults: faults,
 	}
 
 	// Validate the prefetcher/algorithm configuration once before fanning
 	// out.
-	if _, err := simulate(context.Background(), apps[0], cfg, true, nil); err != nil {
+	if _, _, _, err := build(cfg); err != nil {
 		usageErr(err)
 	}
 	// Telemetry slots are claimed by app index, so the assembled stream
@@ -139,6 +141,7 @@ func main() {
 	if *telemetry != "" {
 		collector = obs.NewCollector(*telemetryEvery)
 	}
+	opts := harness.Options{Insts: *insts, StepL2: *stepL2, Obs: collector}
 	// SIGINT/SIGTERM cancels the fan-out: in-flight simulations stop at
 	// the next 100k-instruction chunk, unstarted apps never run, and
 	// everything that did finish still prints (plus telemetry) below.
@@ -156,12 +159,14 @@ func main() {
 	for i, app := range apps {
 		jobs[i] = jobIn{i, app}
 	}
-	reports, errs := par.RunCtx(ctx, par.CtxOpts{Workers: *workers}, jobs, func(ctx context.Context, j jobIn) (string, error) {
+	reports, errs := par.RunCtx(ctx, *workers, jobs, func(ctx context.Context, j jobIn) (string, error) {
 		var rec obs.Recorder
 		if collector != nil {
 			rec = collector.Slot(j.i, j.app.Name)
 		}
-		return simulate(ctx, j.app, cfg, false, rec)
+		o := opts
+		o.Ctx = ctx
+		return simulate(o, j.app, cfg, rec)
 	})
 	failed := 0
 	for i, report := range reports {
@@ -193,66 +198,41 @@ func main() {
 	}
 }
 
-// simulate runs one app and returns its formatted report. dryRun only
-// checks that the prefetcher/algorithm configuration parses. rec, when
-// non-nil, receives the run's telemetry stream. If ctx is canceled
+// build constructs the run's prefetcher through the prefetch registry
+// and, for an arm-tunable one, its controller through the algorithm
+// registry.
+func build(cfg runConfig) (l2 prefetch.Prefetcher, ctrl core.Controller, arms prefetch.Tunable, err error) {
+	l2, arms, err = prefetch.NewByName(cfg.pfName, cfg.seed)
+	if err != nil || arms == nil {
+		return l2, nil, arms, err
+	}
+	ctrl, err = core.ParseAlgo(cfg.algo, arms.NumArms(), cfg.seed, true)
+	return l2, ctrl, arms, err
+}
+
+// simulate runs one app and returns its formatted report. rec, when
+// non-nil, receives the run's telemetry stream. If o.Ctx is canceled
 // mid-run the simulation stops at the next chunk boundary and the report
 // covers the instructions that did run, flagged as partial.
-func simulate(ctx context.Context, app trace.App, cfg runConfig, dryRun bool, rec obs.Recorder) (string, error) {
-	seed := cfg.seed
-	hier := mem.NewHierarchy(cfg.memCfg)
-	if bf := fault.Bandwidth(cfg.faults, seed); bf != nil {
-		hier.DRAM().SetBandwidthFault(bf)
-	}
-	gen := fault.Generator(app.New(seed), cfg.faults, seed)
-	c := cpu.New(cpu.DefaultConfig(), hier, gen)
-
-	l2, tun, err := prefetch.NewByName(cfg.pfName, seed)
+func simulate(o harness.Options, app trace.App, cfg runConfig, rec obs.Recorder) (string, error) {
+	l2, ctrl, arms, err := build(cfg)
 	if err != nil {
 		return "", err
 	}
-	var ctrl core.Controller
-	if tun != nil {
-		ctrl, err = core.ParseAlgo(cfg.algo, tun.NumArms(), seed, true)
-		if err != nil {
-			return "", err
-		}
-		// Attach telemetry before the fault wrapper so the stream
-		// reports the agent's decisions, not the fault's corruptions.
-		obs.Attach(ctrl, rec, cfg.obsEvery)
-		ctrl = fault.Controller(ctrl, cfg.faults, seed)
-		tun = fault.Tunable(tun, cfg.faults, seed)
-	}
-	if dryRun {
-		return "", nil
-	}
-	if rec != nil {
-		for _, spec := range cfg.faults {
-			rec.Record(obs.Event{Kind: obs.KindFault, Label: spec.String()})
-		}
-	}
-
-	r := cpu.NewRunner(c, l2, ctrl, tun)
-	r.StepL2 = cfg.stepL2
-	if cfg.showTrace {
-		r.RecordArms()
-	}
-	if rec != nil {
-		r.Obs = rec
-		r.ObsEvery = cfg.obsEvery
-	}
-	interrupted := r.RunCtx(ctx, cfg.insts) != nil
-	if rec != nil {
-		rec.Record(obs.Event{Kind: obs.KindRunEnd, Step: r.Steps(),
-			Fields: obs.NewFields().Set(obs.FieldIPC, c.IPC())})
-	}
+	r := o.SimPrefetch(harness.PrefetchSpec{
+		Gen: app.New(cfg.seed), Seed: cfg.seed, Mem: cfg.memCfg,
+		L2: l2, Ctrl: ctrl, Arms: arms, Faults: cfg.faults, Rec: rec,
+		RecordArms: cfg.showTrace, SimFields: cfg.simFields,
+	})
+	interrupted := o.Ctx.Err() != nil
+	c, hier := r.Core, r.Hier
 
 	var b strings.Builder
 	st := hier.Stats()
 	cl := hier.Classify()
 	fmt.Fprintf(&b, "app=%s prefetcher=%s insts=%d cycles=%d\n", app.Name, cfg.pfName, c.Insts(), c.Cycles())
 	if interrupted {
-		fmt.Fprintf(&b, "INTERRUPTED after %d of %d instructions; statistics are partial\n", c.Insts(), cfg.insts)
+		fmt.Fprintf(&b, "INTERRUPTED after %d of %d instructions; statistics are partial\n", c.Insts(), o.Insts)
 	}
 	if len(cfg.faults) > 0 {
 		fmt.Fprintf(&b, "faults: %s\n", cfg.faults.String())
@@ -262,7 +242,7 @@ func simulate(ctx context.Context, app trace.App, cfg runConfig, dryRun bool, re
 		st.L2Demand, st.LLCMisses, hier.DRAM().Reads())
 	fmt.Fprintf(&b, "prefetches issued: %d   timely: %d   late: %d   wrong: %d   dropped: %d\n",
 		st.PrefIssued, cl.Timely, cl.Late, cl.Wrong, st.PrefDropped)
-	if ctrl != nil {
+	if r.Ctrl != nil {
 		fmt.Fprintf(&b, "bandit steps: %d\n", r.Steps())
 	}
 	if cfg.showTrace {
@@ -271,7 +251,7 @@ func simulate(ctx context.Context, app trace.App, cfg runConfig, dryRun bool, re
 			fmt.Fprintf(&b, "  %d:%d", s.Cycle, s.Arm)
 		}
 		b.WriteByte('\n')
-		if agent, ok := ctrl.(*core.Agent); ok {
+		if agent, ok := r.Ctrl.(*core.Agent); ok {
 			fmt.Fprintf(&b, "final rTable: %v\n", agent.Rewards())
 		}
 	}

@@ -141,7 +141,7 @@ func main() {
 	for i, mix := range mixes {
 		jobs[i] = jobIn{i, mix}
 	}
-	reports, errs := par.RunCtx(ctx, par.CtxOpts{Workers: *workers}, jobs, func(ctx context.Context, j jobIn) (string, error) {
+	reports, errs := par.RunCtx(ctx, *workers, jobs, func(ctx context.Context, j jobIn) (string, error) {
 		var rec obs.Recorder
 		if collector != nil {
 			rec = collector.Slot(j.i, j.mix.Name())

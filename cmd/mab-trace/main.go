@@ -9,20 +9,18 @@
 //	mab-trace record -app lbm17 -insts 2000000 -out lbm17.mbt
 //	mab-trace record -app lbm17,mcf06,bfs -j 4
 //	mab-trace replay -in lbm17.mbt -insts 4000000 -pf bandit
+//	mab-trace replay -in lbm17.mbt -pf bandit -telemetry out.jsonl [-sim-fields]
 //	mab-trace info -in lbm17.mbt
-//	mab-trace run -app lbm17,mcf06 -telemetry out.jsonl -telemetry-every 100 -j 8
-//	mab-trace -telemetry out.jsonl -telemetry-every 100
 //
 // With a comma-separated -app list (or "all"), record writes one
 // <app>.mbt per application, fanning the recordings out across -j worker
 // goroutines.
 //
-// The run mode simulates catalog applications under the bandit
-// prefetcher directly (no trace file round trip) and is the quickest
-// path to a telemetry stream: -telemetry writes the JSONL event stream
-// plus timeline.csv and regret.csv next to it, byte-identical at every
-// -j value. Invoking mab-trace with bare flags (no subcommand) is
-// shorthand for run.
+// replay accepts every mab-prefetch -pf name (default none); the bandit
+// is the paper's DUCB agent over the Table 7 ensemble, stepping every
+// 1,000 L2 demand accesses. -telemetry writes the JSONL event stream
+// plus timeline.csv and regret.csv next to it. To simulate catalog
+// applications directly, without a trace file, use mab-prefetch.
 package main
 
 import (
@@ -37,6 +35,7 @@ import (
 
 	"microbandit/internal/core"
 	"microbandit/internal/cpu"
+	"microbandit/internal/harness"
 	"microbandit/internal/mem"
 	"microbandit/internal/obs"
 	"microbandit/internal/par"
@@ -58,18 +57,13 @@ func main() {
 		replay(os.Args[2:])
 	case os.Args[1] == "info":
 		info(os.Args[2:])
-	case os.Args[1] == "run":
-		run(os.Args[2:])
-	case strings.HasPrefix(os.Args[1], "-"):
-		// Bare flags: shorthand for the run mode.
-		run(os.Args[1:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mab-trace {record|replay|info|run|version} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: mab-trace {record|replay|info|version} [flags]")
 	os.Exit(2)
 }
 
@@ -78,126 +72,6 @@ func usage() {
 // partial statistics (plus telemetry) they accumulated.
 func interruptCtx() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-}
-
-// run simulates catalog applications under the Table 7 bandit
-// prefetcher, emitting telemetry when -telemetry is set. Each app is an
-// independent job claiming the telemetry slot matching its input index,
-// so the assembled stream does not depend on -j.
-func run(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	appNames := fs.String("app", "lbm17,mcf06", "application(s): a catalog name, a comma-separated list, or \"all\"")
-	insts := fs.Int64("insts", 1_000_000, "instructions to simulate per app")
-	stepL2 := fs.Int("step", 500, "bandit step length in L2 demand accesses")
-	seed := fs.Uint64("seed", 1, "random seed")
-	workers := fs.Int("j", 0, "worker goroutines (0 = one per CPU)")
-	telemetry := fs.String("telemetry", "", "write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
-	telemetryEvery := fs.Int("telemetry-every", 100, "telemetry snapshot/interval cadence in bandit steps")
-	simFields := fs.Bool("sim-fields", false, "with -telemetry: add simulator-effectiveness fields (chunk_hit_rate, ff_coverage) to interval events")
-	_ = fs.Parse(args)
-
-	if *insts <= 0 {
-		usageErr(fs, fmt.Errorf("-insts must be positive, got %d", *insts))
-	}
-	if *stepL2 <= 0 {
-		usageErr(fs, fmt.Errorf("-step must be positive, got %d", *stepL2))
-	}
-	if *workers < 0 {
-		usageErr(fs, fmt.Errorf("-j must be >= 0, got %d", *workers))
-	}
-	if *telemetryEvery <= 0 {
-		usageErr(fs, fmt.Errorf("-telemetry-every must be positive, got %d", *telemetryEvery))
-	}
-	var apps []trace.App
-	if *appNames == "all" {
-		apps = trace.Catalog()
-	} else {
-		for _, name := range strings.Split(*appNames, ",") {
-			app, err := trace.ByName(strings.TrimSpace(name))
-			if err != nil {
-				usageErr(fs, fmt.Errorf("%v (valid: %s, or \"all\")", err, catalogNames()))
-			}
-			apps = append(apps, app)
-		}
-	}
-
-	var collector *obs.Collector
-	if *telemetry != "" {
-		collector = obs.NewCollector(*telemetryEvery)
-	}
-	type jobIn struct {
-		i   int
-		app trace.App
-	}
-	jobs := make([]jobIn, len(apps))
-	for i, app := range apps {
-		jobs[i] = jobIn{i, app}
-	}
-	ctx, stop := interruptCtx()
-	defer stop()
-	reports, errs := par.RunCtx(ctx, par.CtxOpts{Workers: *workers}, jobs, func(ctx context.Context, j jobIn) (string, error) {
-		var rec obs.Recorder
-		if collector != nil {
-			rec = collector.Slot(j.i, j.app.Name)
-		}
-		return runOne(ctx, j.app, *insts, *stepL2, *seed, *telemetryEvery, rec, *simFields)
-	})
-	failed := 0
-	for i, report := range reports {
-		if errs[i] != nil {
-			if !errors.Is(errs[i], context.Canceled) {
-				failed++
-				fmt.Fprintf(os.Stderr, "mab-trace: %s: %v\n", apps[i].Name, errs[i])
-			}
-			continue
-		}
-		fmt.Print(report)
-	}
-	if collector != nil {
-		if err := obs.WriteFiles(*telemetry, *telemetryEvery, collector.Events()); err != nil {
-			fatal(fmt.Errorf("telemetry: %w", err))
-		}
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "mab-trace: interrupted; results above are partial")
-		os.Exit(1)
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "mab-trace: %d of %d runs failed; results above are partial\n", failed, len(apps))
-		os.Exit(1)
-	}
-}
-
-// runOne simulates one app under the bandit prefetcher and returns its
-// report line. An interrupted run reports the instructions that did run,
-// flagged as partial.
-func runOne(ctx context.Context, app trace.App, insts int64, stepL2 int, seed uint64, every int, rec obs.Recorder, simFields bool) (string, error) {
-	hier := mem.NewHierarchy(mem.DefaultConfig())
-	c := cpu.New(cpu.DefaultConfig(), hier, app.New(seed))
-	ens := prefetch.NewTable7Ensemble()
-	agent := core.MustNew(core.Config{
-		Arms: ens.NumArms(), Policy: core.NewDUCB(core.PrefetchC, core.PrefetchGamma),
-		Normalize: true, Seed: seed,
-	})
-	obs.Attach(agent, rec, every)
-	runner := cpu.NewRunner(c, ens, agent, ens)
-	runner.StepL2 = stepL2
-	if rec != nil {
-		runner.Obs = rec
-		runner.ObsEvery = every
-		runner.ObsSimCounters = simFields
-	}
-	interrupted := runner.RunCtx(ctx, insts) != nil
-	if rec != nil {
-		rec.Record(obs.Event{Kind: obs.KindRunEnd, Step: runner.Steps(),
-			Fields: obs.NewFields().Set(obs.FieldIPC, c.IPC())})
-	}
-	note := ""
-	if interrupted {
-		note = " [interrupted; partial]"
-	}
-	return fmt.Sprintf("ran %s: %d insts, %d cycles, IPC %.4f, %d bandit steps%s\n",
-		app.Name, c.Insts(), c.Cycles(), c.IPC(), runner.Steps(), note), nil
 }
 
 func record(args []string) {
@@ -237,7 +111,7 @@ func record(args []string) {
 	// trace would silently shorten every later replay.
 	ctx, stop := interruptCtx()
 	defer stop()
-	reports, errs := par.RunCtx(ctx, par.CtxOpts{Workers: *workers}, apps, func(ctx context.Context, app trace.App) (string, error) {
+	reports, errs := par.RunCtx(ctx, *workers, apps, func(ctx context.Context, app trace.App) (string, error) {
 		path := *out
 		if path == "" {
 			path = app.Name + ".mbt"
@@ -314,8 +188,8 @@ func replay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("in", "", "input trace file")
 	insts := fs.Int64("insts", 4_000_000, "instructions to simulate (trace loops if shorter)")
-	pf := fs.String("pf", "none", "prefetcher: none, stride, bandit")
-	seed := fs.Uint64("seed", 1, "bandit seed")
+	pf := fs.String("pf", "none", "prefetcher: "+strings.Join(prefetch.Names(), ", "))
+	seed := fs.Uint64("seed", 1, "random seed")
 	telemetry := fs.String("telemetry", "", "write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
 	telemetryEvery := fs.Int("telemetry-every", 100, "telemetry snapshot/interval cadence in bandit steps")
 	simFields := fs.Bool("sim-fields", false, "with -telemetry: add simulator-effectiveness fields (chunk_hit_rate, ff_coverage) to interval events")
@@ -330,10 +204,15 @@ func replay(args []string) {
 	if *telemetryEvery <= 0 {
 		usageErr(fs, fmt.Errorf("-telemetry-every must be positive, got %d", *telemetryEvery))
 	}
-	switch *pf {
-	case "none", "stride", "bandit":
-	default:
-		usageErr(fs, fmt.Errorf("unknown prefetcher %q (valid: none, stride, bandit)", *pf))
+	l2, arms, err := prefetch.NewByName(*pf, *seed)
+	if err != nil {
+		usageErr(fs, err)
+	}
+	var ctrl core.Controller
+	if arms != nil {
+		if ctrl, err = core.ParseAlgo("ducb", arms.NumArms(), *seed, false); err != nil {
+			fatal(err)
+		}
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -354,46 +233,22 @@ func replay(args []string) {
 	// §6.2: short traces are concatenated until the budget is reached.
 	gen := trace.NewLoop(r.TraceName(), insts2)
 
-	hier := mem.NewHierarchy(mem.DefaultConfig())
-	c := cpu.New(cpu.DefaultConfig(), hier, gen)
-	var (
-		l2   prefetch.Prefetcher = prefetch.Null{}
-		ctrl core.Controller
-		tun  prefetch.Tunable
-	)
-	switch *pf {
-	case "none":
-	case "stride":
-		l2 = prefetch.NewIPStride(64, 4)
-	case "bandit":
-		ens := prefetch.NewTable7Ensemble()
-		ctrl = core.MustNew(core.Config{
-			Arms: ens.NumArms(), Policy: core.NewDUCB(core.PrefetchC, core.PrefetchGamma),
-			Normalize: true, Seed: *seed,
-		})
-		l2, tun = ens, ens
-	default:
-		fatal(fmt.Errorf("unknown prefetcher %q", *pf))
-	}
 	var rec obs.Recorder
 	var collector *obs.Collector
 	if *telemetry != "" {
 		collector = obs.NewCollector(*telemetryEvery)
 		rec = collector.Slot(0, r.TraceName())
-		obs.Attach(ctrl, rec, *telemetryEvery)
-	}
-	runner := cpu.NewRunner(c, l2, ctrl, tun)
-	if rec != nil {
-		runner.Obs = rec
-		runner.ObsEvery = *telemetryEvery
-		runner.ObsSimCounters = *simFields
 	}
 	ctx, stop := interruptCtx()
 	defer stop()
-	interrupted := runner.RunCtx(ctx, *insts) != nil
-	if rec != nil {
-		rec.Record(obs.Event{Kind: obs.KindRunEnd, Step: runner.Steps(),
-			Fields: obs.NewFields().Set(obs.FieldIPC, c.IPC())})
+	o := harness.Options{Insts: *insts, StepL2: cpu.StepL2Accesses, Ctx: ctx, Obs: collector}
+	runner := o.SimPrefetch(harness.PrefetchSpec{
+		Gen: gen, Seed: *seed, Mem: mem.DefaultConfig(),
+		L2: l2, Ctrl: ctrl, Arms: arms, Rec: rec, SimFields: *simFields,
+	})
+	interrupted := ctx.Err() != nil
+	c := runner.Core
+	if collector != nil {
 		if err := obs.WriteFiles(*telemetry, *telemetryEvery, collector.Events()); err != nil {
 			fatal(fmt.Errorf("telemetry: %w", err))
 		}

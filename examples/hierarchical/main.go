@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"microbandit"
@@ -77,7 +78,7 @@ func main() {
 			r.StepL2 = 400
 			runners = append(runners, r)
 		}
-		cpu.RunMultiCore(runners, 400_000)
+		cpu.RunMultiCore(context.Background(), runners, 400_000)
 		return cpu.SumIPC(runners)
 	}
 	free := run(false)

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"microbandit/internal/core"
@@ -272,7 +274,7 @@ func TestMultiCoreContention(t *testing.T) {
 	}
 	// Single core alone.
 	solo := mkRunner(mem.NewShared(mem.DefaultConfig(), 1), 1)
-	RunMultiCore([]*Runner{solo}, 60_000)
+	RunMultiCore(context.Background(), []*Runner{solo}, 60_000)
 	soloIPC := solo.Core.IPC()
 
 	// Four cores sharing one channel.
@@ -281,7 +283,7 @@ func TestMultiCoreContention(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		rs = append(rs, mkRunner(shared, 1+i))
 	}
-	RunMultiCore(rs, 60_000)
+	RunMultiCore(context.Background(), rs, 60_000)
 	perCore := SumIPC(rs) / 4
 
 	if perCore >= soloIPC {
@@ -294,11 +296,37 @@ func TestMultiCoreContention(t *testing.T) {
 	}
 }
 
+// TestMultiCoreCancelled pins the cancellation contract: with a context
+// that is already done, RunMultiCore returns its error after at most
+// one batch per core instead of running the budget out.
+func TestMultiCoreCancelled(t *testing.T) {
+	app, err := trace.ByName("ligra-bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := mem.NewShared(mem.DefaultConfig(), 4)
+	var rs []*Runner
+	for i := uint64(0); i < 4; i++ {
+		c := New(DefaultConfig(), mem.NewCoreHierarchy(mem.DefaultConfig(), shared), app.New(1+i))
+		rs = append(rs, NewRunner(c, prefetch.Null{}, nil, nil))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := RunMultiCore(ctx, rs, 60_000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunMultiCore = %v, want context.Canceled", err)
+	}
+	for i, r := range rs {
+		if n := r.Core.Insts(); n > multiCoreBatch {
+			t.Errorf("core %d ran %d insts after cancellation, want at most %d", i, n, multiCoreBatch)
+		}
+	}
+}
+
 func TestSumIPCEmpty(t *testing.T) {
 	if SumIPC(nil) != 0 {
 		t.Error("SumIPC(nil) != 0")
 	}
-	RunMultiCore(nil, 10) // must not panic
+	RunMultiCore(context.Background(), nil, 10) // must not panic
 }
 
 func min(a, b int) int {

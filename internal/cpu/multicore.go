@@ -1,19 +1,35 @@
 package cpu
 
+import "context"
+
+// multiCoreBatch is how many instructions the chosen core runs per
+// RunMultiCore selection; ctx is checked before each batch.
+const multiCoreBatch = 64
+
 // RunMultiCore co-simulates several runners that share an LLC and a DRAM
 // channel until every core has executed instsPerCore instructions (§6.2's
 // four-core methodology). Cores advance in timestamp order — always the
 // core with the smallest local cycle steps next — so contention on the
 // shared resources is observed in (approximately) global time order.
-func RunMultiCore(runners []*Runner, instsPerCore int64) {
+//
+// Once ctx is done the co-simulation stops before the next batch and
+// returns ctx's error; every core's statistics stay valid for the
+// instructions it did run.
+func RunMultiCore(ctx context.Context, runners []*Runner, instsPerCore int64) error {
 	if len(runners) == 0 {
-		return
+		return nil
 	}
 	// Prime the bandit controllers before interleaving.
 	for _, r := range runners {
 		r.Run(0)
 	}
+	done := ctx.Done()
 	for {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
 		var next *Runner
 		for _, r := range runners {
 			if r.Core.Insts() >= instsPerCore {
@@ -24,12 +40,12 @@ func RunMultiCore(runners []*Runner, instsPerCore int64) {
 			}
 		}
 		if next == nil {
-			return
+			return nil
 		}
 		// Step a small batch to amortize the selection scan.
 		budget := instsPerCore - next.Core.Insts()
-		if budget > 64 {
-			budget = 64
+		if budget > multiCoreBatch {
+			budget = multiCoreBatch
 		}
 		next.Core.RunInsts(budget)
 	}

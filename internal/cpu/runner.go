@@ -87,7 +87,8 @@ type Runner struct {
 	// each interval: the chunk-cache hit rate (when the trace source is
 	// cache-backed) and the fast-forward coverage. Off by default so
 	// recorded telemetry streams stay byte-identical with builds that
-	// predate the fields; the bench matrix turns it on.
+	// predate the fields; the -sim-fields flag of mab-prefetch and
+	// mab-trace replay turns it on.
 	ObsSimCounters bool
 
 	obsSteps int64 // completed telemetry windows

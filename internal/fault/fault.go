@@ -1,13 +1,13 @@
 // Package fault is the deterministic fault-injection layer of the
 // robustness experiments: it perturbs what the Bandit observes and
 // controls — noisy or quantized IPC reward counters, delayed reward
-// delivery, stuck-arm faults (a Tunable.Apply that silently fails),
+// delivery, stuck-arm faults (an arm Apply that silently fails),
 // transient DRAM bandwidth collapse bursts, and phase-change storms in
 // the workload — without modifying any clean simulation path.
 //
 // Every fault is described by a Spec (kind, intensity, seed) and realized
 // by wrapping one of the existing substrate interfaces: core.Controller
-// (reward-channel faults), prefetch.Tunable (actuation faults),
+// (reward-channel faults), the arm surface Applier (actuation faults),
 // trace.Generator (workload faults), and mem.BandwidthFault (memory-system
 // faults). All randomness comes from private xrand streams derived from
 // the spec seed and the run's sub-seed, so a faulted experiment is
@@ -38,7 +38,7 @@ const (
 	// steps: the controller credits each arm with the reward observed
 	// that many steps earlier (stale performance-counter reads).
 	Delay Kind = "delay"
-	// StuckArm makes each Tunable.Apply silently fail with probability
+	// StuckArm makes each arm Apply silently fail with probability
 	// Intensity, leaving the old arm installed while the agent believes
 	// the switch happened.
 	StuckArm Kind = "stuckarm"

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"microbandit/internal/core"
-	"microbandit/internal/prefetch"
 	"microbandit/internal/trace"
 )
 
@@ -162,9 +161,10 @@ type armsRecorder struct {
 func (a *armsRecorder) NumArms() int  { return a.arms }
 func (a *armsRecorder) Apply(arm int) { a.applied = append(a.applied, arm) }
 
-// TestArmsStuck: the generic stuck-arm wrapper drops some Apply calls
-// deterministically and passes NumArms through; without a stuck-arm
-// spec the inner Applier is returned unchanged.
+// TestArmsStuck: the stuck-arm wrapper drops Apply calls
+// deterministically (some at intensity 0.5, all at 1) and passes NumArms
+// through; without a stuck-arm spec the inner Applier is returned
+// unchanged.
 func TestArmsStuck(t *testing.T) {
 	inner := &armsRecorder{arms: 4}
 	if got := Arms(inner, nil, 1); got != Applier(inner) {
@@ -192,6 +192,18 @@ func TestArmsStuck(t *testing.T) {
 	}
 	if len(inner2.applied) != len(inner.applied) {
 		t.Fatalf("same seeds dropped differently: %d vs %d", len(inner2.applied), len(inner.applied))
+	}
+	// At intensity 1 every Apply is dropped; NumArms still passes through.
+	inner3 := &armsRecorder{arms: 4}
+	w3 := Arms(inner3, Set{{Kind: StuckArm, Intensity: 1, Seed: 2}}, 2)
+	if w3.NumArms() != 4 {
+		t.Fatalf("NumArms through wrapper = %d, want 4", w3.NumArms())
+	}
+	for arm := 0; arm < w3.NumArms(); arm++ {
+		w3.Apply(arm)
+	}
+	if len(inner3.applied) != 0 {
+		t.Fatalf("stuck-arm at 1 delivered %d Apply calls, want none", len(inner3.applied))
 	}
 }
 
@@ -282,26 +294,6 @@ func TestControllerPanic(t *testing.T) {
 	}()
 	for i := 0; i < 100; i++ {
 		c.Reward(1)
-	}
-}
-
-func TestTunableStuck(t *testing.T) {
-	ens := prefetch.NewTable7Ensemble()
-	// prob 0 via empty set: passthrough.
-	if got := Tunable(ens, nil, 1); got != prefetch.Tunable(ens) {
-		t.Error("empty set must return the inner tunable unchanged")
-	}
-	stuck := Tunable(ens, Set{{Kind: StuckArm, Intensity: 1, Seed: 2}}, 2)
-	if stuck == prefetch.Tunable(ens) {
-		t.Fatal("stuck-arm set must wrap the tunable")
-	}
-	// With probability 1 every Apply is dropped; NumArms still passes
-	// through and Apply never panics even for arms the ensemble has.
-	if stuck.NumArms() != ens.NumArms() {
-		t.Error("NumArms must pass through")
-	}
-	for arm := 0; arm < stuck.NumArms(); arm++ {
-		stuck.Apply(arm)
 	}
 }
 

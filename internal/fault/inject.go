@@ -6,7 +6,6 @@ import (
 
 	"microbandit/internal/core"
 	"microbandit/internal/mem"
-	"microbandit/internal/prefetch"
 	"microbandit/internal/trace"
 	"microbandit/internal/xrand"
 )
@@ -133,38 +132,7 @@ func (c *faultyController) Reward(r float64) {
 }
 
 // ---------------------------------------------------------------------
-// Actuation faults: prefetch.Tunable wrapper
-
-// stuckTunable drops Apply calls with a fixed probability, leaving the
-// previously installed arm active while the agent believes it switched.
-type stuckTunable struct {
-	prefetch.Tunable
-	rng  *xrand.Rand
-	prob float64
-}
-
-// Tunable wraps inner with the set's stuck-arm fault; without one it
-// returns inner unchanged.
-func Tunable(inner prefetch.Tunable, fs Set, runSeed uint64) prefetch.Tunable {
-	s, ok := fs.find(StuckArm)
-	if !ok {
-		return inner
-	}
-	return &stuckTunable{
-		Tunable: inner,
-		rng:     xrand.New(mix(s.Seed, runSeed)),
-		prob:    s.Intensity,
-	}
-}
-
-// Apply implements prefetch.Tunable, silently failing with the configured
-// probability.
-func (s *stuckTunable) Apply(arm int) {
-	if s.rng.Bool(s.prob) {
-		return
-	}
-	s.Tunable.Apply(arm)
-}
+// Actuation faults: arm-surface wrapper
 
 // Applier is the minimal arm surface shared by prefetch.Tunable and
 // scenario.Tunable — what the stuck-arm fault actually needs.
@@ -173,8 +141,8 @@ type Applier interface {
 	Apply(arm int)
 }
 
-// stuckApplier is stuckTunable for arbitrary decision scenarios: same
-// fault, no prefetcher surface.
+// stuckApplier drops Apply calls with a fixed probability, leaving the
+// previously installed arm active while the agent believes it switched.
 type stuckApplier struct {
 	inner Applier
 	rng   *xrand.Rand
@@ -182,8 +150,7 @@ type stuckApplier struct {
 }
 
 // Arms wraps inner with the set's stuck-arm fault; without one it
-// returns inner unchanged. It is the scenario-generic sibling of
-// Tunable, for arm-controlled units that are not prefetchers.
+// returns inner unchanged.
 func Arms(inner Applier, fs Set, runSeed uint64) Applier {
 	s, ok := fs.find(StuckArm)
 	if !ok {

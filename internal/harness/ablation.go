@@ -110,13 +110,7 @@ func AblationRRRestart(o Options) AblationResult {
 			hier := mem.NewCoreHierarchy(memCfg, shared)
 			c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
 			ens := prefetch.NewTable7Ensemble()
-			ctrl := core.MustNew(core.Config{
-				Arms:          ens.NumArms(),
-				Policy:        core.NewDUCB(core.PrefetchC, core.PrefetchGamma),
-				Normalize:     true,
-				RRRestartProb: prob,
-				Seed:          seed,
-			})
+			ctrl := ducbRR(ens.NumArms(), seed, prob)
 			if coordinated {
 				// §8 future work: serialize sibling exploration.
 				coord.Add(ctrl)
@@ -125,8 +119,7 @@ func AblationRRRestart(o Options) AblationResult {
 			r.StepL2 = o.StepL2
 			runners = append(runners, r)
 		}
-		cpu.RunMultiCore(runners, instsPerCore)
-		return cpu.SumIPC(runners)
+		return o.runMultiCore(runners, instsPerCore)
 	}
 
 	configs := []struct {
@@ -268,20 +261,10 @@ func AblationArms(o Options) AblationResult {
 		app := apps[j.appIdx]
 		set := sets[j.setIdx]
 		seed := o.subSeed("abl-arms", app.Name, set.name)
-		hier := mem.NewHierarchy(memCfg)
-		c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
 		ens := prefetch.NewEnsemble(set.arms)
-		ctrl := core.MustNew(core.Config{
-			Arms:      ens.NumArms(),
-			Policy:    core.NewDUCB(core.PrefetchC, core.PrefetchGamma),
-			Normalize: true,
-			Seed:      seed,
-		})
-		r := cpu.NewRunner(c, ens, ctrl, ens)
-		r.StepL2 = o.StepL2
-		o.simInsts(r)
-		o.noteSim(c)
-		return c.IPC()
+		r := o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: memCfg,
+			L2: ens, Ctrl: mustAlgo("ducb", ens.NumArms(), seed), Arms: ens})
+		return r.Core.IPC()
 	})
 
 	rows := make([]AblationRow, 0, len(sets))
@@ -317,25 +300,15 @@ func AblationTargetLevel(o Options) AblationResult {
 		app := apps[j.appIdx]
 		extended := variants[j.varIdx]
 		seed := o.subSeed("abl-target", app.Name, fmt.Sprint(extended))
-		hier := mem.NewHierarchy(memCfg)
-		c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
 		var tun prefetch.Tunable
 		if extended {
 			tun = prefetch.NewExtendedEnsemble()
 		} else {
 			tun = prefetch.NewTable7Ensemble()
 		}
-		ctrl := core.MustNew(core.Config{
-			Arms:      tun.NumArms(),
-			Policy:    core.NewDUCB(core.PrefetchC, core.PrefetchGamma),
-			Normalize: true,
-			Seed:      seed,
-		})
-		r := cpu.NewRunner(c, tun, ctrl, tun)
-		r.StepL2 = o.StepL2
-		o.simInsts(r)
-		o.noteSim(c)
-		return c.IPC()
+		r := o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: memCfg,
+			L2: tun, Ctrl: mustAlgo("ducb", tun.NumArms(), seed), Arms: tun})
+		return r.Core.IPC()
 	})
 
 	gmean := func(vi int) float64 {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"microbandit/internal/core"
-	"microbandit/internal/cpu"
 	"microbandit/internal/mem"
 	"microbandit/internal/prefetch"
 	"microbandit/internal/simsmt"
@@ -66,13 +65,8 @@ func Extras(o Options) ExtrasResult {
 
 		// BOP: single learned offset, degree 1.
 		seed := o.subSeed("extras", app.Name)
-		hier := mem.NewHierarchy(memCfg)
-		c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
-		r := cpu.NewRunner(c, prefetch.NewBOP(), nil, nil)
-		r.StepL2 = o.StepL2
-		o.simInsts(r)
-		o.noteSim(c)
-		out.bop = c.IPC() / base
+		r := o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: memCfg, L2: prefetch.NewBOP()})
+		out.bop = r.Core.IPC() / base
 
 		// Paper-default (flat) Bandit.
 		out.flat = o.runPrefetch(app, PfBandit, memCfg).IPC / base

@@ -16,14 +16,17 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"microbandit/internal/core"
 	"microbandit/internal/cpu"
+	"microbandit/internal/fault"
 	"microbandit/internal/mem"
 	"microbandit/internal/obs"
 	"microbandit/internal/par"
 	"microbandit/internal/prefetch"
+	"microbandit/internal/scenario"
 	"microbandit/internal/simsmt"
 	"microbandit/internal/smtwork"
 	"microbandit/internal/trace"
@@ -66,10 +69,11 @@ type Options struct {
 	Errs *ErrorLog
 
 	// Obs, when non-nil, collects telemetry from telemetry-capable
-	// experiments (currently RobustWith): every run claims the
+	// experiments (RobustWith, ScenariosWith): every run claims the
 	// Collector slot matching its job index, so the assembled event
 	// stream is byte-identical at every Workers count. The Collector's
-	// Every field sets the snapshot/interval cadence in bandit steps.
+	// Every field sets the snapshot/interval cadence in bandit steps of
+	// every SimPrefetch run that records.
 	Obs *obs.Collector
 
 	// Ctx, when non-nil, cancels the experiment engine cooperatively:
@@ -155,10 +159,16 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// simInsts drives one prefetching runner for the option's instruction
-// budget under the engine context; on cancellation the runner's partial
-// statistics stay valid.
-func (o Options) simInsts(r *cpu.Runner) { _ = r.RunCtx(o.ctx(), o.Insts) }
+// runMultiCore co-simulates one multi-core workload under the engine
+// context, folds every core into SimCounters, and returns its sum-IPC.
+func (o Options) runMultiCore(runners []*cpu.Runner, instsPerCore int64) float64 {
+	// A cancelled run's partial statistics are its result (Options.Ctx).
+	_ = cpu.RunMultiCore(o.ctx(), runners, instsPerCore)
+	for _, r := range runners {
+		o.noteSim(r.Core)
+	}
+	return cpu.SumIPC(runners)
+}
 
 // cycleRunner is any SMT-side runner with cancellable cycle driving
 // (simsmt.Runner, simsmt.ARPARunner).
@@ -190,21 +200,12 @@ func (o Options) workers() int {
 // always run to completion, so experiments degrade to partial results
 // instead of taking the whole engine down.
 func runJobs[J, R any](o Options, jobs []J, fn func(J) R) []R {
-	var results []R
-	var errs []error
-	if o.Ctx != nil {
-		// Cancellable engine: once Ctx is done, running jobs finish early
-		// (their simulators observe the same context) and unstarted jobs
-		// come back as cancellation errors instead of running.
-		results, errs = par.RunCtx(o.Ctx, par.CtxOpts{Workers: o.workers()}, jobs,
-			func(_ context.Context, j J) (R, error) {
-				return fn(j), nil
-			})
-	} else {
-		results, errs = par.RunErr(o.workers(), jobs, func(j J) (R, error) {
-			return fn(j), nil
-		})
-	}
+	// Once Ctx is done, running jobs finish early (their simulators
+	// observe the same context) and unstarted jobs come back as
+	// cancellation errors instead of running.
+	results, errs := par.RunCtx(o.ctx(), o.workers(), jobs, func(_ context.Context, j J) (R, error) {
+		return fn(j), nil
+	})
 	for _, err := range errs {
 		if err == nil {
 			continue
@@ -317,68 +318,168 @@ type PrefetchRun struct {
 	Class mem.Classification
 }
 
-// banditController builds the paper's prefetching Bandit (DUCB, Table 6).
-func banditController(seed uint64, arms int) core.Controller {
-	return core.MustNew(core.Config{
-		Arms:      arms,
-		Policy:    core.NewDUCB(core.PrefetchC, core.PrefetchGamma),
-		Normalize: true,
-		Seed:      seed,
-	})
+// newPf builds a configuration through the prefetch registry, whose
+// names are the lower-cased kinds ("none" for PfNone). The bandit's
+// Table 7 ensemble comes back with the paper's DUCB agent (Table 6)
+// steering it; every other configuration has no controller.
+func newPf(kind PfKind, seed uint64) (l2 prefetch.Prefetcher, ctrl core.Controller, arms prefetch.Tunable) {
+	name := strings.ToLower(string(kind))
+	if kind == PfNone {
+		name = "none"
+	}
+	l2, arms, err := prefetch.NewByName(name, seed)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	if arms != nil {
+		ctrl = mustAlgo("ducb", arms.NumArms(), seed)
+	}
+	return l2, ctrl, arms
 }
 
-// pfSetup instantiates a prefetcher configuration for one run.
-func pfSetup(kind PfKind, seed uint64) (l2 prefetch.Prefetcher, ctrl core.Controller, tun prefetch.Tunable) {
-	switch kind {
-	case PfNone:
-		return prefetch.Null{}, nil, nil
-	case PfStride:
-		return prefetch.NewIPStride(64, 4), nil, nil
-	case PfBingo:
-		return prefetch.NewBingo(64), nil, nil
-	case PfMLOP:
-		return prefetch.NewMLOP(), nil, nil
-	case PfPythia:
-		return prefetch.NewPythia(seed), nil, nil
-	case PfBandit:
-		ens := prefetch.NewTable7Ensemble()
-		return ens, banditController(seed, ens.NumArms()), ens
-	default:
-		panic(fmt.Sprintf("harness: unknown prefetcher kind %q", kind))
+// mustAlgo builds a registry agent (core.ParseAlgo). The harness only
+// names registered algorithms, so an error is a programming error.
+func mustAlgo(name string, arms int, seed uint64) core.Controller {
+	ctrl, err := core.ParseAlgo(name, arms, seed, false)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	return ctrl
+}
+
+// ducbRR builds the paper's DUCB agent (core.AlgoConfig "ducb") with
+// the §4.3 round-robin restart at the given per-step probability.
+func ducbRR(arms int, seed uint64, prob float64) *core.Agent {
+	cfg, err := core.AlgoConfig("ducb", arms, seed, false)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	cfg.RRRestartProb = prob
+	return core.MustNew(cfg)
+}
+
+// PrefetchSpec is what differs between single-core prefetch
+// simulations; Options.SimPrefetch does the rest of the wiring.
+type PrefetchSpec struct {
+	// Gen is the freshly built trace generator and Seed the seed it was
+	// built with (the chunk-cache key and every fault's run seed).
+	Gen  trace.Generator
+	Seed uint64
+	Mem  mem.Config
+	// L2 is the L2 prefetcher (nil means prefetch.Null{}); L1, when
+	// non-nil, is an additional L1 prefetcher (Fig. 12).
+	L2, L1 prefetch.Prefetcher
+	// Ctrl, when non-nil, selects Arms every bandit step.
+	Ctrl core.Controller
+	Arms cpu.Actuator
+	// Wire, when set, builds the decision unit inside the fresh core and
+	// hierarchy (a scenario's Wire); its prefetcher, arms and reward
+	// probe replace L2 and Arms.
+	Wire func(*cpu.Core, *mem.Hierarchy) scenario.Instance
+	// Faults is injected around the clean substrates: the DRAM, the
+	// generator, the controller's reward channel and the arm surface.
+	Faults fault.Set
+	// Rec, when non-nil, receives the run's telemetry at the cadence of
+	// Options.Obs, which must then be set.
+	Rec obs.Recorder
+	// RecordArms enables the runner's exploration trace; SimFields adds
+	// the simulator-effectiveness fields to telemetry intervals.
+	RecordArms, SimFields bool
+}
+
+// SimPrefetch builds, wires and runs one single-core prefetch
+// simulation for o.Insts instructions and returns its runner (Core,
+// Hier, Ctrl as the runner saw it, ArmTrace). Once o.Ctx is done the run
+// stops at its next chunk boundary; its statistics stay valid for the
+// instructions that did run.
+//
+// With a recorder, telemetry attaches to s.Ctrl before the fault
+// wrapper hides the agent's SetRecorder: the stream reports what the
+// agent decided, not what a fault corrupted it into. The reward probe,
+// by contrast, goes through the wrapper, which forwards it. Fault
+// activations lead the run's events and a KindRunEnd with the headline
+// IPC closes them.
+func (o Options) SimPrefetch(s PrefetchSpec) *cpu.Runner {
+	hier := mem.NewHierarchy(s.Mem)
+	if bf := fault.Bandwidth(s.Faults, s.Seed); bf != nil {
+		hier.DRAM().SetBandwidthFault(bf)
+	}
+	c := cpu.New(cpu.DefaultConfig(), hier, fault.Generator(o.gen(s.Gen, s.Seed), s.Faults, s.Seed))
+	var probe core.RewardProbe
+	if s.Wire != nil {
+		inst := s.Wire(c, hier)
+		s.L2, s.Arms, probe = inst.Pf, inst.Tunable, inst.Probe
+	}
+	if s.L2 == nil {
+		s.L2 = prefetch.Null{}
+	}
+
+	ctrl, arms := s.Ctrl, s.Arms
+	every := 0
+	if s.Rec != nil {
+		every = o.Obs.Every
+		obs.Attach(ctrl, s.Rec, every)
+		for _, spec := range s.Faults {
+			s.Rec.Record(obs.Event{Kind: obs.KindFault, Label: spec.String()})
+		}
+	}
+	if ctrl != nil {
+		ctrl = fault.Controller(ctrl, s.Faults, s.Seed)
+		if ps, ok := ctrl.(core.ProbeSetter); ok && probe != nil {
+			ps.SetRewardProbe(probe)
+		}
+	}
+	if arms != nil {
+		arms = fault.Arms(arms, s.Faults, s.Seed)
+	}
+
+	r := cpu.NewRunner(c, s.L2, ctrl, arms)
+	r.L1Pf = s.L1
+	r.StepL2 = o.StepL2
+	r.Probe = probe
+	if s.RecordArms {
+		r.RecordArms()
+	}
+	if s.Rec != nil {
+		r.Obs = s.Rec
+		r.ObsEvery = every
+		r.ObsSimCounters = s.SimFields
+	}
+	// A cancelled run's partial statistics are its result (Options.Ctx).
+	_ = r.RunCtx(o.ctx(), o.Insts)
+	o.noteSim(c)
+	if s.Rec != nil {
+		s.Rec.Record(obs.Event{Kind: obs.KindRunEnd, Step: r.Steps(),
+			Fields: obs.NewFields().Set(obs.FieldIPC, c.IPC())})
+	}
+	return r
+}
+
+// prefetchRun folds a finished run into its measurement.
+func prefetchRun(app trace.App, kind string, r *cpu.Runner) PrefetchRun {
+	return PrefetchRun{
+		App: app.Name, Suite: app.Suite, Kind: kind,
+		IPC: r.Core.IPC(), Stats: r.Hier.Stats(), Class: r.Hier.Classify(),
 	}
 }
 
 // runPrefetch simulates one app under one configuration.
 func (o Options) runPrefetch(app trace.App, kind PfKind, memCfg mem.Config) PrefetchRun {
 	seed := o.subSeed("pf", app.Name, string(kind))
-	hier := mem.NewHierarchy(memCfg)
-	c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
-	l2, ctrl, tun := pfSetup(kind, seed)
-	r := cpu.NewRunner(c, l2, ctrl, tun)
-	r.StepL2 = o.StepL2
-	o.simInsts(r)
-	o.noteSim(c)
-	return PrefetchRun{
-		App: app.Name, Suite: app.Suite, Kind: string(kind),
-		IPC: c.IPC(), Stats: hier.Stats(), Class: hier.Classify(),
-	}
+	l2, ctrl, arms := newPf(kind, seed)
+	r := o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: memCfg,
+		L2: l2, Ctrl: ctrl, Arms: arms})
+	return prefetchRun(app, string(kind), r)
 }
 
 // runPrefetchCtrl simulates one app with the Table 7 ensemble under an
 // arbitrary controller (bandit algorithm comparisons, best-static oracle).
 func (o Options) runPrefetchCtrl(app trace.App, name string, ctrl core.Controller, memCfg mem.Config) PrefetchRun {
 	seed := o.subSeed("pfctrl", app.Name, name)
-	hier := mem.NewHierarchy(memCfg)
-	c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
 	ens := prefetch.NewTable7Ensemble()
-	r := cpu.NewRunner(c, ens, ctrl, ens)
-	r.StepL2 = o.StepL2
-	o.simInsts(r)
-	o.noteSim(c)
-	return PrefetchRun{
-		App: app.Name, Suite: app.Suite, Kind: name,
-		IPC: c.IPC(), Stats: hier.Stats(), Class: hier.Classify(),
-	}
+	r := o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: memCfg,
+		L2: ens, Ctrl: ctrl, Arms: ens})
+	return prefetchRun(app, name, r)
 }
 
 // ---------------------------------------------------------------------

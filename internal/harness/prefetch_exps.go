@@ -40,12 +40,8 @@ func Fig2(o Options) Fig2Result {
 	}
 	rows := runJobs(o, apps, func(app trace.App) out {
 		seed := o.subSeed("fig2", app.Name)
-		hier := mem.NewHierarchy(mem.DefaultConfig())
-		c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
 		py := prefetch.NewPythia(seed)
-		r := cpu.NewRunner(c, py, nil, nil)
-		o.simInsts(r)
-		o.noteSim(c)
+		o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: mem.DefaultConfig(), L2: py})
 
 		counts := py.ActionCounts()
 		sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
@@ -468,23 +464,14 @@ func Fig12(o Options) Fig12Result {
 		}
 		cb := combos[j.comboIdx]
 		seed := o.subSeed("fig12", app.Name, cb.name)
-		hier := mem.NewHierarchy(memCfg)
-		c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
-
-		var l2 prefetch.Prefetcher
-		var ctrl core.Controller
-		var tun prefetch.Tunable
+		spec := PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: memCfg, L1: cb.l1(seed)}
 		if cb.l2 == "ipcpL2" {
-			l2 = prefetch.NewIPCP(64, 4)
+			spec.L2 = prefetch.NewIPCP(64, 4)
 		} else {
-			l2, ctrl, tun = pfSetup(cb.l2, seed)
+			spec.L2, spec.Ctrl, spec.Arms = newPf(cb.l2, seed)
 		}
-		r := cpu.NewRunner(c, l2, ctrl, tun)
-		r.L1Pf = cb.l1(seed)
-		r.StepL2 = o.StepL2
-		o.simInsts(r)
-		o.noteSim(c)
-		return c.IPC()
+		r := o.SimPrefetch(spec)
+		return r.Core.IPC()
 	})
 
 	base := ipcs[:len(apps)]
@@ -552,31 +539,16 @@ func Fig14(o Options) Fig14Result {
 			seed := o.subSeed("fig14", w.name, app.Name, string(kind), fmt.Sprint(coreID))
 			hier := mem.NewCoreHierarchy(memCfg, shared)
 			c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
-			var (
-				l2   prefetch.Prefetcher
-				ctrl core.Controller
-				tun  prefetch.Tunable
-			)
-			if kind == PfBandit {
-				ens := prefetch.NewTable7Ensemble()
+			l2, ctrl, tun := newPf(kind, seed)
+			if tun != nil {
 				// Multi-core bandits use the §4.3 round-robin restart.
-				ctrl = core.MustNew(core.Config{
-					Arms:          ens.NumArms(),
-					Policy:        core.NewDUCB(core.PrefetchC, core.PrefetchGamma),
-					Normalize:     true,
-					RRRestartProb: core.RRRestartProb4Core,
-					Seed:          seed,
-				})
-				l2, tun = ens, ens
-			} else {
-				l2, ctrl, tun = pfSetup(kind, seed)
+				ctrl = ducbRR(tun.NumArms(), seed, core.RRRestartProb4Core)
 			}
 			r := cpu.NewRunner(c, l2, ctrl, tun)
 			r.StepL2 = o.StepL2
 			runners = append(runners, r)
 		}
-		cpu.RunMultiCore(runners, instsPerCore)
-		return cpu.SumIPC(runners)
+		return o.runMultiCore(runners, instsPerCore)
 	}
 
 	// Homogeneous: every core runs the same app.
@@ -693,30 +665,16 @@ func Fig7Prefetch(o Options) []Fig7Panel {
 		app := apps[j.appIdx]
 		name := algos[j.algoIdx]
 		var ctrl core.Controller
-		switch name {
-		case "BestStatic":
+		if name == "BestStatic" {
 			ctrl = core.FixedArm(bestArm[j.appIdx])
-		case "Single":
-			ctrl = core.MustNew(core.Config{Arms: core.PrefetchArms,
-				Policy: core.NewSingle(), Normalize: true, Seed: o.subSeed("f7", app.Name)})
-		case "UCB":
-			ctrl = core.MustNew(core.Config{Arms: core.PrefetchArms,
-				Policy: core.NewUCB(core.PrefetchC), Normalize: true, Seed: o.subSeed("f7", app.Name)})
-		default: // DUCB
-			ctrl = core.MustNew(core.Config{Arms: core.PrefetchArms,
-				Policy: core.NewDUCB(core.PrefetchC, core.PrefetchGamma), Normalize: true,
-				Seed: o.subSeed("f7", app.Name)})
+		} else {
+			ctrl = mustAlgo(strings.ToLower(name), core.PrefetchArms, o.subSeed("f7", app.Name))
 		}
 		seed := o.subSeed("fig7", app.Name, name)
-		hier := mem.NewHierarchy(memCfg)
-		c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
 		ens := prefetch.NewTable7Ensemble()
-		r := cpu.NewRunner(c, ens, ctrl, ens)
-		r.StepL2 = o.StepL2
-		r.RecordArms()
-		o.simInsts(r)
-		o.noteSim(c)
-		panel := Fig7Panel{Algo: name, App: app.Name, IPC: c.IPC()}
+		r := o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: memCfg,
+			L2: ens, Ctrl: ctrl, Arms: ens, RecordArms: true})
+		panel := Fig7Panel{Algo: name, App: app.Name, IPC: r.Core.IPC()}
 		panel.Arms = make([]ArmPoint, 0, len(r.ArmTrace))
 		for _, s := range r.ArmTrace {
 			panel.Arms = append(panel.Arms, ArmPoint{Cycle: s.Cycle, Arm: s.Arm})

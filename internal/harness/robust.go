@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"microbandit/internal/core"
-	"microbandit/internal/cpu"
 	"microbandit/internal/fault"
 	"microbandit/internal/mem"
 	"microbandit/internal/obs"
@@ -151,74 +150,30 @@ func RobustWith(o Options, sweep []fault.Spec) RobustResult {
 	return res
 }
 
-// runPrefetchFaulted simulates one app with the Table 7 ensemble under
-// the named algorithm, with the fault set injected around the clean
-// substrates. An empty set is exactly the clean runPrefetchCtrl path.
-// rec, when non-nil, receives the run's telemetry: fault activations,
-// the agent's arm/reward/snapshot stream, interval measurements, and a
-// closing KindRunEnd with the headline IPC.
-func (o Options) runPrefetchFaulted(app trace.App, algo string, fs fault.Set, memCfg mem.Config, rec obs.Recorder) float64 {
-	seed := o.subSeed("robust", app.Name, algo, fs.String())
-	hier := mem.NewHierarchy(memCfg)
-	if bf := fault.Bandwidth(fs, seed); bf != nil {
-		hier.DRAM().SetBandwidthFault(bf)
-	}
-	gen := fault.Generator(o.gen(app.New(seed), seed), fs, seed)
-	c := cpu.New(cpu.DefaultConfig(), hier, gen)
-	ens := prefetch.NewTable7Ensemble()
-	inner := robustController(algo, seed, ens.NumArms())
-	every := 0
-	if rec != nil {
-		every = o.Obs.Every
-		// Attach before the fault wrapper: the wrapper hides the agent's
-		// SetRecorder, and the telemetry should report what the agent
-		// decided, not what the fault corrupted it into.
-		obs.Attach(inner, rec, every)
-		for _, spec := range fs {
-			rec.Record(obs.Event{Kind: obs.KindFault, Label: spec.String()})
-		}
-	}
-	ctrl := fault.Controller(inner, fs, seed)
-	tun := fault.Tunable(ens, fs, seed)
-	r := cpu.NewRunner(c, ens, ctrl, tun)
-	r.StepL2 = o.StepL2
-	if rec != nil {
-		r.Obs = rec
-		r.ObsEvery = every
-	}
-	o.simInsts(r)
-	o.noteSim(c)
-	ipc := c.IPC()
-	if rec != nil {
-		rec.Record(obs.Event{Kind: obs.KindRunEnd, Step: r.Steps(),
-			Fields: obs.NewFields().Set(obs.FieldIPC, ipc)})
-	}
-	return ipc
+// robustAlgoNames maps each comparison column to its core.ParseAlgo
+// name; DUCB+RR is built by ducbRR.
+var robustAlgoNames = map[string]string{
+	"eps-Greedy": "eps",
+	"UCB":        "ucb",
+	"DUCB":       "ducb",
+	"CTX-DUCB":   "ctx-ducb",
 }
 
-// robustController builds one comparison column's controller.
-func robustController(algo string, seed uint64, arms int) core.Controller {
-	cfg := core.Config{Arms: arms, Normalize: true, Seed: seed}
-	switch algo {
-	case "CTX-DUCB":
-		c, err := core.NewContextualAgent(core.ContextualConfig{Arms: arms, Algo: "ducb", Seed: seed})
-		if err != nil {
-			panic(fmt.Sprintf("harness: contextual controller: %v", err))
-		}
-		return c
-	case "eps-Greedy":
-		cfg.Policy = core.NewEpsilonGreedy(0.05)
-	case "UCB":
-		cfg.Policy = core.NewUCB(core.PrefetchC)
-	case "DUCB":
-		cfg.Policy = core.NewDUCB(core.PrefetchC, core.PrefetchGamma)
-	case "DUCB+RR":
-		cfg.Policy = core.NewDUCB(core.PrefetchC, core.PrefetchGamma)
-		cfg.RRRestartProb = robustRRProb
-	default:
-		panic(fmt.Sprintf("harness: unknown robustness algorithm %q", algo))
+// runPrefetchFaulted simulates one app with the Table 7 ensemble under
+// the named algorithm, with the fault set injected around the clean
+// substrates. rec, when non-nil, receives the run's telemetry.
+func (o Options) runPrefetchFaulted(app trace.App, algo string, fs fault.Set, memCfg mem.Config, rec obs.Recorder) float64 {
+	seed := o.subSeed("robust", app.Name, algo, fs.String())
+	ens := prefetch.NewTable7Ensemble()
+	var ctrl core.Controller
+	if algo == "DUCB+RR" {
+		ctrl = ducbRR(ens.NumArms(), seed, robustRRProb)
+	} else {
+		ctrl = mustAlgo(robustAlgoNames[algo], ens.NumArms(), seed)
 	}
-	return core.MustNew(cfg)
+	r := o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: memCfg,
+		L2: ens, Ctrl: ctrl, Arms: ens, Faults: fs, Rec: rec})
+	return r.Core.IPC()
 }
 
 // Render formats the robustness table.

@@ -5,12 +5,10 @@ import (
 	"math"
 	"strings"
 
-	"microbandit/internal/core"
 	"microbandit/internal/cpu"
 	"microbandit/internal/fault"
 	"microbandit/internal/mem"
 	"microbandit/internal/obs"
-	"microbandit/internal/prefetch"
 	"microbandit/internal/scenario"
 	"microbandit/internal/stats"
 	"microbandit/internal/trace"
@@ -196,14 +194,11 @@ func (o Options) scenarioApps(sc scenario.Scenario) []trace.App {
 	return apps
 }
 
-// runScenarioCell simulates one (scenario, app, column) cell: wires the
-// scenario into a fresh core, builds the column's controller, injects
-// the scenario's inherent faults plus the cell's extra fault (the
-// robustness column), and returns the end-to-end IPC. The wiring order
-// matters and mirrors runPrefetchFaulted: telemetry attaches to the
-// inner controller before the fault wrapper (report what the agent
-// decided), while the reward probe is installed through the wrapper
-// (which must forward it — the seam the fault tests pin).
+// runScenarioCell simulates one (scenario, app, column) cell: the
+// scenario wires its decision unit into a fresh core, the column builds
+// the controller, and the scenario's inherent faults plus the cell's
+// extra fault (the robustness column) are injected. It returns the
+// end-to-end IPC.
 func (o Options) runScenarioCell(sc scenario.Scenario, app trace.App, col scenario.Column, colName, extraFault string, rec obs.Recorder) float64 {
 	spec := sc.Faults()
 	if extraFault != "" {
@@ -218,51 +213,13 @@ func (o Options) runScenarioCell(sc scenario.Scenario, app trace.App, col scenar
 	}
 
 	seed := o.subSeed("scn", sc.Name(), app.Name, colName)
-	hier := mem.NewHierarchy(mem.DefaultConfig())
-	if bf := fault.Bandwidth(fs, seed); bf != nil {
-		hier.DRAM().SetBandwidthFault(bf)
-	}
-	gen := fault.Generator(o.gen(app.New(seed), seed), fs, seed)
-	c := cpu.New(cpu.DefaultConfig(), hier, gen)
-	inst := sc.Wire(c, hier, seed)
-
-	inner := col.New(seed)
-	every := 0
 	if rec != nil {
-		every = o.Obs.Every
-		obs.Attach(inner, rec, every)
 		rec.Record(obs.Event{Kind: obs.KindScenario, Label: sc.Name()})
-		for _, s := range fs {
-			rec.Record(obs.Event{Kind: obs.KindFault, Label: s.String()})
-		}
 	}
-	ctrl := fault.Controller(inner, fs, seed)
-	if inst.Probe != nil {
-		if ps, ok := ctrl.(core.ProbeSetter); ok {
-			ps.SetRewardProbe(inst.Probe)
-		}
-	}
-	tun := fault.Arms(inst.Tunable, fs, seed)
-
-	pf := inst.Pf
-	if pf == nil {
-		pf = prefetch.Null{}
-	}
-	r := cpu.NewRunner(c, pf, ctrl, tun)
-	r.StepL2 = o.StepL2
-	r.Probe = inst.Probe
-	if rec != nil {
-		r.Obs = rec
-		r.ObsEvery = every
-	}
-	o.simInsts(r)
-	o.noteSim(c)
-	ipc := c.IPC()
-	if rec != nil {
-		rec.Record(obs.Event{Kind: obs.KindRunEnd, Step: r.Steps(),
-			Fields: obs.NewFields().Set(obs.FieldIPC, ipc)})
-	}
-	return ipc
+	r := o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: mem.DefaultConfig(),
+		Ctrl: col.New(seed), Faults: fs, Rec: rec,
+		Wire: func(c *cpu.Core, h *mem.Hierarchy) scenario.Instance { return sc.Wire(c, h, seed) }})
+	return r.Core.IPC()
 }
 
 // Render formats one table per scenario plus its summary line.

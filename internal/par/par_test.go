@@ -7,8 +7,15 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
+
+// run is RunCtx for infallible jobs under a background context.
+func run[J, R any](workers int, jobs []J, fn func(J) R) []R {
+	out, _ := RunCtx(context.Background(), workers, jobs, func(_ context.Context, j J) (R, error) {
+		return fn(j), nil
+	})
+	return out
+}
 
 func TestRunPreservesInputOrder(t *testing.T) {
 	jobs := make([]int, 1000)
@@ -16,7 +23,7 @@ func TestRunPreservesInputOrder(t *testing.T) {
 		jobs[i] = i
 	}
 	for _, workers := range []int{0, 1, 2, 7, 64, 5000} {
-		out := Run(workers, jobs, func(j int) int { return j * j })
+		out := run(workers, jobs, func(j int) int { return j * j })
 		if len(out) != len(jobs) {
 			t.Fatalf("workers=%d: got %d results", workers, len(out))
 		}
@@ -29,10 +36,10 @@ func TestRunPreservesInputOrder(t *testing.T) {
 }
 
 func TestRunEmptyAndSingle(t *testing.T) {
-	if out := Run(8, nil, func(j int) int { return j }); out != nil {
+	if out := run(8, nil, func(j int) int { return j }); out != nil {
 		t.Errorf("empty job list: got %v", out)
 	}
-	out := Run(8, []int{41}, func(j int) int { return j + 1 })
+	out := run(8, []int{41}, func(j int) int { return j + 1 })
 	if len(out) != 1 || out[0] != 42 {
 		t.Errorf("single job: got %v", out)
 	}
@@ -45,28 +52,13 @@ func TestRunExecutesEveryJobOnce(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = i
 	}
-	Run(16, jobs, func(j int) struct{} {
+	run(16, jobs, func(j int) struct{} {
 		counts[j].Add(1)
 		return struct{}{}
 	})
 	for i := range counts {
 		if got := counts[i].Load(); got != 1 {
 			t.Fatalf("job %d ran %d times", i, got)
-		}
-	}
-}
-
-func TestDo(t *testing.T) {
-	out := make([]int, 100)
-	tasks := make([]func(), len(out))
-	for i := range tasks {
-		i := i
-		tasks[i] = func() { out[i] = i + 1 }
-	}
-	Do(4, tasks)
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("slot %d = %d", i, v)
 		}
 	}
 }
@@ -78,13 +70,13 @@ func TestDefaultWorkersPositive(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// RunErr / RunCtx
+// Errors, panics and cancellation
 
 func TestRunErrResultsAndErrors(t *testing.T) {
 	jobs := []int{1, 2, 3, 4, 5}
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 8} {
-		results, errs := RunErr(workers, jobs, func(j int) (int, error) {
+		results, errs := RunCtx(context.Background(), workers, jobs, func(_ context.Context, j int) (int, error) {
 			if j%2 == 0 {
 				return 0, boom
 			}
@@ -115,7 +107,7 @@ func TestRunErrResultsAndErrors(t *testing.T) {
 func TestRunErrPanicAttribution(t *testing.T) {
 	jobs := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, workers := range []int{1, 8} {
-		results, errs := RunErr(workers, jobs, func(j int) (int, error) {
+		results, errs := RunCtx(context.Background(), workers, jobs, func(_ context.Context, j int) (int, error) {
 			if j == 3 || j == 6 {
 				panic(fmt.Sprintf("deliberate failure in job value %d", j))
 			}
@@ -151,69 +143,15 @@ func TestRunErrPanicAttribution(t *testing.T) {
 	}
 }
 
-func TestRunCtxRetryBounded(t *testing.T) {
-	var calls [4]atomic.Int32
-	jobs := []int{0, 1, 2, 3}
-	results, errs := RunCtx(context.Background(), CtxOpts{Workers: 2, Retries: 2}, jobs,
-		func(_ context.Context, j int) (int, error) {
-			n := calls[j].Add(1)
-			switch {
-			case j == 1 && n < 3:
-				return 0, errors.New("transient")
-			case j == 2:
-				return 0, errors.New("permanent")
-			}
-			return j, nil
-		})
-	if errs[0] != nil || errs[1] != nil || errs[3] != nil {
-		t.Fatalf("unexpected errors: %v", errs)
-	}
-	if results[1] != 1 {
-		t.Errorf("transient job result %d, want 1", results[1])
-	}
-	if got := calls[1].Load(); got != 3 {
-		t.Errorf("transient job tried %d times, want 3", got)
-	}
-	var je *JobError
-	if !errors.As(errs[2], &je) || je.Attempts != 3 {
-		t.Fatalf("permanent job error %v, want *JobError after 3 attempts", errs[2])
-	}
-	if got := calls[2].Load(); got != 3 {
-		t.Errorf("permanent job tried %d times, want 3 (1 + 2 retries)", got)
-	}
-}
-
-func TestRunCtxTimeout(t *testing.T) {
-	jobs := []int{0, 1}
-	start := time.Now()
-	results, errs := RunCtx(context.Background(), CtxOpts{Workers: 2, Timeout: 20 * time.Millisecond}, jobs,
-		func(ctx context.Context, j int) (int, error) {
-			if j == 1 {
-				<-ctx.Done() // hang until the per-job deadline
-				return 0, ctx.Err()
-			}
-			return 7, nil
-		})
-	if errs[0] != nil || results[0] != 7 {
-		t.Fatalf("fast job failed: %v", errs[0])
-	}
-	if !errors.Is(errs[1], context.DeadlineExceeded) {
-		t.Fatalf("slow job error %v, want deadline exceeded", errs[1])
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("timeout did not bound the batch: %v", elapsed)
-	}
-}
-
 func TestRunCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before any job starts
 	jobs := make([]int, 16)
 	var ran atomic.Int32
-	_, errs := RunCtx(ctx, CtxOpts{Workers: 4, Retries: 5}, jobs,
+	_, errs := RunCtx(ctx, 4, jobs,
 		func(context.Context, int) (int, error) {
 			ran.Add(1)
-			return 0, errors.New("should be retried if reached")
+			return 0, nil
 		})
 	for i, err := range errs {
 		if !errors.Is(err, context.Canceled) {
@@ -223,20 +161,4 @@ func TestRunCtxCancellation(t *testing.T) {
 	if ran.Load() != 0 {
 		t.Errorf("%d jobs ran after cancellation", ran.Load())
 	}
-}
-
-// TestRunCtxAbandonedPanicIsContained: a timed-out attempt that later
-// panics must not crash the process.
-func TestRunCtxAbandonedPanicIsContained(t *testing.T) {
-	release := make(chan struct{})
-	_, errs := RunCtx(context.Background(), CtxOpts{Workers: 1, Timeout: 10 * time.Millisecond}, []int{0},
-		func(_ context.Context, _ int) (int, error) {
-			<-release
-			panic("late panic in abandoned attempt")
-		})
-	if !errors.Is(errs[0], context.DeadlineExceeded) {
-		t.Fatalf("got %v, want deadline exceeded", errs[0])
-	}
-	close(release)
-	time.Sleep(20 * time.Millisecond) // give the abandoned goroutine time to panic+recover
 }
