@@ -39,8 +39,7 @@ func benchOptions() harness.Options {
 // The serial benchmarks above fix Workers=1; these two rerun the
 // heaviest experiments with the default worker pool (one worker per
 // CPU), so `go test -bench 'Table8|Fig5'` shows the serial-vs-parallel
-// wall-clock side by side. cmd/mab-report -parbench records the same
-// comparison to BENCH_parallel.json.
+// wall-clock side by side.
 
 func BenchmarkTable8Parallel(b *testing.B) {
 	o := benchOptions()

@@ -7,7 +7,7 @@
 //	                [-checkpoint ckpt.json] [-checkpoint-every 30s]
 //	                [-telemetry out.jsonl] [-telemetry-every 100]
 //	mab-serve loadgen [-workers 8] [-duration 2s] [-arms 8] [-algo ducb]
-//	                  [-batch N] [-warmup 200ms] [-out BENCH_serve.json]
+//	                  [-batch N] [-warmup 200ms] [-out result.json]
 //	mab-serve -version
 //
 // serve starts the HTTP API. With -checkpoint it restores existing
@@ -239,7 +239,7 @@ func usage(w *os.File) {
   mab-serve serve [-addr :8080] [-shards N] [-checkpoint ckpt.json]
                   [-checkpoint-every 30s] [-telemetry out.jsonl]
   mab-serve loadgen [-workers 8] [-duration 2s] [-arms 8] [-algo ducb]
-                    [-batch N] [-warmup 200ms] [-out BENCH_serve.json]
+                    [-batch N] [-warmup 200ms] [-out result.json]
   mab-serve -version
 
 Run "mab-serve <subcommand> -h" for flag details.`)

@@ -10,8 +10,8 @@ import (
 )
 
 // benchRunner builds the configuration the experiments spend most of
-// their time in (and the one internal/simbench measures): the
-// bandit-controlled Table 7 ensemble over the default hierarchy.
+// their time in (and the one the pf-* workloads under bench/ measure):
+// the bandit-controlled Table 7 ensemble over the default hierarchy.
 func benchRunner(b testing.TB, appName string) *Runner {
 	app, err := trace.ByName(appName)
 	if err != nil {

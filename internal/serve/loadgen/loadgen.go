@@ -13,8 +13,8 @@
 //
 // The generator drives an in-process http.Handler. Handing it a
 // *serve.Server measures the decision engine itself — no sockets, no
-// kernel — which is the configuration the repo's reference numbers in
-// BENCH_serve.json use.
+// kernel — which is the configuration the benchmark's serve-batch
+// workload (bench/serve.go) uses.
 //
 // The workers follow the single-node sequence protocol: a step that
 // bounces off a decision this client never closed (typed 409 step_open)
@@ -89,8 +89,8 @@ func (o *Options) normalize() {
 	}
 }
 
-// Result is one load run's measurement, in the shape written to
-// BENCH_serve.json.
+// Result is one load run's measurement, in the shape `mab-serve loadgen
+// -out` writes.
 type Result struct {
 	Workers int    `json:"workers"`
 	Arms    int    `json:"arms"`
