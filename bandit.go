@@ -59,9 +59,10 @@ type (
 	Single = core.Single
 	// Periodic alternates sweeps and exploitation (§7.1 heuristic).
 	Periodic = core.Periodic
-	// MetaAgent is the §9 hierarchical extension: a high-level bandit
-	// selecting among low-level bandits with different hyperparameters.
-	MetaAgent = core.MetaAgent
+	// Selector is the hierarchical bandit: a high-level bandit selecting
+	// among low-level controllers — the §9 extension over DUCB agents
+	// with different hyperparameters, or heterogeneous agents.
+	Selector = core.Selector
 	// Coordinator serializes §4.3 restarts across sibling agents (the
 	// multi-bandit exploration orchestration of §8).
 	Coordinator = core.Coordinator
@@ -96,11 +97,10 @@ var (
 	NewSingle = core.NewSingle
 	// NewPeriodic returns the Periodic heuristic.
 	NewPeriodic = core.NewPeriodic
-	// NewMetaAgent builds a hierarchical agent over low-level agents.
-	NewMetaAgent = core.NewMetaAgent
-	// MustNewMetaAgent is NewMetaAgent that panics on error.
-	MustNewMetaAgent = core.MustNewMetaAgent
-	// NewDUCBSweepMeta builds the §9 hyperparameter-sweep configuration.
+	// NewSelector builds a hierarchical bandit over labelled low-level
+	// controllers.
+	NewSelector = core.NewSelector
+	// NewDUCBSweepMeta builds the §9 hyperparameter-sweep Selector.
 	NewDUCBSweepMeta = core.NewDUCBSweepMeta
 	// NewCoordinator builds an exploration coordinator.
 	NewCoordinator = core.NewCoordinator

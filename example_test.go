@@ -50,6 +50,6 @@ func ExampleNewDUCBSweepMeta() {
 		arm := meta.Step()
 		meta.Reward(float64(arm)) // higher arms pay more
 	}
-	fmt.Println("levels:", meta.Levels(), "arms:", meta.Arms(), "best arm:", meta.BestLevel() >= 0)
+	fmt.Println("levels:", meta.Levels(), "arms:", meta.Arms(), "best arm:", meta.BestArm() >= 0)
 	// Output: levels: 2 arms: 6 best arm: true
 }

@@ -1,10 +1,11 @@
 // Hierarchical example: the paper's §9 future-work extensions in action.
 //
-//  1. A MetaAgent — a high-level bandit choosing among low-level DUCB
-//     agents with different (c, γ) hyperparameters — controls the
-//     prefetcher ensemble on two applications with different dynamics:
-//     a phase-changing mcf-style trace (wants a forgetful, low-γ agent)
-//     and a stationary stream (wants a long-memory agent).
+//  1. A Selector built by NewDUCBSweepMeta — a high-level bandit choosing
+//     among low-level DUCB agents with different (c, γ) hyperparameters —
+//     controls the prefetcher ensemble on two applications with
+//     different dynamics: a phase-changing mcf-style trace (wants a
+//     forgetful, low-γ agent) and a stationary stream (wants a
+//     long-memory agent).
 //  2. A Coordinator serializes the §4.3 exploration restarts of four
 //     bandits sharing one DRAM channel.
 //

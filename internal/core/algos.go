@@ -72,20 +72,6 @@ func AlgoConfig(name string, arms int, seed uint64, recordTrace bool) (Config, e
 	}, nil
 }
 
-// AlgoPolicySnapshot returns the snapshot form of the policy AlgoConfig
-// builds for name. Callers that store many same-algorithm agents in
-// column form (the serve layer's slab checkpoints) persist only the
-// algorithm name and rebuild the policy snapshot through this one
-// registry, so a name always means the same hyperparameters on both
-// sides of a save/load cycle.
-func AlgoPolicySnapshot(name string) (PolicySnapshot, error) {
-	cfg, err := AlgoConfig(name, 1, 1, false)
-	if err != nil {
-		return PolicySnapshot{}, err
-	}
-	return snapshotPolicy(cfg.Policy)
-}
-
 // ParseAlgo builds a controller for the named bandit algorithm over the
 // given arm count, using the paper's prefetching hyperparameters
 // (Table 6: c = PrefetchC, gamma = PrefetchGamma). "static:N" returns

@@ -220,6 +220,9 @@ func (c *ContextualAgent) StepsTaken() int { return c.steps }
 // Arms returns the number of arms.
 func (c *ContextualAgent) Arms() int { return c.cfg.Arms }
 
+// Algo returns the per-context base algorithm name.
+func (c *ContextualAgent) Algo() string { return c.cfg.Algo }
+
 // StepOpen reports whether a Step call is awaiting its Reward.
 func (c *ContextualAgent) StepOpen() bool { return c.open != nil }
 

@@ -6,35 +6,42 @@ import (
 	"microbandit/internal/xrand"
 )
 
-func twoLows(t *testing.T, arms int) []*Agent {
+func twoLows(t *testing.T, arms int) []Controller {
 	t.Helper()
-	mk := func(gamma float64, seed uint64) *Agent {
+	mk := func(gamma float64, seed uint64) Controller {
 		return MustNew(Config{
 			Arms: arms, Policy: NewDUCB(0.05, gamma), Normalize: true, Seed: seed,
 		})
 	}
-	return []*Agent{mk(0.9, 1), mk(0.999, 2)}
+	return []Controller{mk(0.9, 1), mk(0.999, 2)}
 }
 
+var twoLabels = []string{"fast", "slow"}
+
 func TestMetaAgentValidation(t *testing.T) {
-	if _, err := NewMetaAgent(Config{Policy: NewUCB(0.1)}, nil); err == nil {
+	if _, err := NewSelector(Config{Policy: NewUCB(0.1)}, nil, nil, 3); err == nil {
 		t.Error("accepted zero low-level agents")
 	}
-	lows := []*Agent{
+	lows := []Controller{
 		MustNew(Config{Arms: 3, Policy: NewUCB(0.1), Seed: 1}),
 		MustNew(Config{Arms: 4, Policy: NewUCB(0.1), Seed: 2}),
 	}
-	if _, err := NewMetaAgent(Config{Policy: NewUCB(0.1)}, lows); err == nil {
+	if _, err := NewSelector(Config{Policy: NewUCB(0.1)}, lows, twoLabels, 3); err == nil {
 		t.Error("accepted mismatched arm counts")
 	}
-	if _, err := NewMetaAgent(Config{}, twoLows(t, 3)); err == nil {
+	if _, err := NewSelector(Config{}, twoLows(t, 3), twoLabels, 3); err == nil {
 		t.Error("accepted nil high-level policy")
+	}
+	if _, err := NewSelector(Config{Policy: NewUCB(0.1)}, twoLows(t, 3), twoLabels[:1], 3); err == nil {
+		t.Error("accepted a label count that does not match the candidates")
 	}
 }
 
 func TestMetaAgentProtocol(t *testing.T) {
-	m := MustNewMetaAgent(Config{Policy: NewDUCB(0.05, 0.99), Normalize: true, Seed: 3},
-		twoLows(t, 4))
+	m, err := NewDUCBSweepMeta(4, [][2]float64{{0.05, 0.9}, {0.05, 0.999}}, true, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Arms() != 4 || m.Levels() != 2 {
 		t.Fatalf("Arms/Levels = %d/%d", m.Arms(), m.Levels())
 	}
@@ -45,6 +52,9 @@ func TestMetaAgentProtocol(t *testing.T) {
 	if arm < 0 || arm >= 4 {
 		t.Fatalf("arm %d out of range", arm)
 	}
+	if !m.StepOpen() {
+		t.Error("StepOpen false between Step and Reward")
+	}
 	assertPanics(t, func() { m.Step() })
 	m.Reward(1)
 	assertPanics(t, func() { m.Reward(1) })
@@ -53,11 +63,16 @@ func TestMetaAgentProtocol(t *testing.T) {
 func TestMetaAgentConvergesAndSelectsBetterLevel(t *testing.T) {
 	// Environment with a phase change every 300 steps: the low-gamma
 	// (fast-forgetting) low-level agent should be rated better by the
-	// high-level bandit than an effectively-static one.
+	// high-level bandit than an effectively-static one. The high level
+	// forgets faster (γ = 0.99) than NewDUCBSweepMeta's, so it can follow
+	// the phase changes.
 	fast := MustNew(Config{Arms: 3, Policy: NewDUCB(0.05, 0.95), Normalize: true, Seed: 1})
 	slow := MustNew(Config{Arms: 3, Policy: NewDUCB(0.05, 0.9999999), Normalize: true, Seed: 2})
-	m := MustNewMetaAgent(Config{Policy: NewDUCB(0.05, 0.99), Normalize: true, Seed: 3},
-		[]*Agent{fast, slow})
+	m, err := NewSelector(Config{Policy: NewDUCB(0.05, 0.99), Normalize: true, Seed: 3},
+		[]Controller{fast, slow}, twoLabels, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	env := xrand.New(5)
 	best := 0
 	total := 0.0
@@ -82,7 +97,10 @@ func TestMetaAgentConvergesAndSelectsBetterLevel(t *testing.T) {
 }
 
 func TestMetaAgentReset(t *testing.T) {
-	m := MustNewMetaAgent(Config{Policy: NewUCB(0.1), Seed: 1}, twoLows(t, 3))
+	m, err := NewDUCBSweepMeta(3, [][2]float64{{0.05, 0.9}, {0.05, 0.999}}, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 50; i++ {
 		m.Step()
 		m.Reward(0.5)
@@ -108,6 +126,12 @@ func TestNewDUCBSweepMeta(t *testing.T) {
 	}
 	if m.Levels() != 3 || m.Arms() != 4 {
 		t.Errorf("Levels/Arms = %d/%d", m.Levels(), m.Arms())
+	}
+	want := []string{"ducb(c=0.05,gamma=0.9)", "ducb(c=0.05,gamma=0.999)", "ducb(c=0.1,gamma=0.99)"}
+	for i, l := range m.Labels() {
+		if l != want[i] {
+			t.Errorf("label %d = %q, want %q", i, l, want[i])
+		}
 	}
 	// It must work as a Controller end to end.
 	var c Controller = m

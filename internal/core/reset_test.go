@@ -42,7 +42,7 @@ func TestResetEquivalentToFresh(t *testing.T) {
 // selector must rewind.
 func TestMetaResetEquivalentToFresh(t *testing.T) {
 	pairs := [][2]float64{{0.04, 0.999}, {0.01, 0.975}}
-	build := func() *MetaAgent {
+	build := func() *Selector {
 		m, err := NewDUCBSweepMeta(3, pairs, true, 99)
 		if err != nil {
 			t.Fatalf("NewDUCBSweepMeta: %v", err)

@@ -6,21 +6,23 @@ import (
 	"microbandit/internal/obs"
 )
 
-// Selector is the meta-bandit agent selector: a high-level Bandit whose
-// arms are whole agent configurations (ε-Greedy, UCB, DUCB, contextual
-// DUCB, ...), picked per workload. It generalizes MetaAgent — which
-// sweeps hyperparameters of one algorithm family — to heterogeneous
-// Controllers, the "bandit framework for optimal selection of RL
-// agents" idea from the related work: no single algorithm wins on every
+// Selector is the hierarchical bandit: a high-level Bandit whose arms
+// are whole low-level controllers, picked per workload. It covers both
+// the paper's future-work extension (§9) — during tuning the authors
+// observed that different DUCB hyperparameters (γ, c) suit different
+// applications, so NewDUCBSweepMeta runs one DUCB agent per (c, γ) pair
+// — and heterogeneous agent selection (ε-Greedy, UCB, DUCB, contextual
+// DUCB, ...), the "bandit framework for optimal selection of RL agents"
+// idea from the related work: no single algorithm wins on every
 // application, so let a bandit learn which agent to trust.
 //
-// The learning story mirrors MetaAgent: every low-level controller
-// opens a step and observes every step reward (off-policy, credited as
-// if its own choice had run), but only the controller chosen by the
-// high-level bandit steers the hardware. Selector implements
-// Controller, ContextSetter, and ProbeSetter, forwarding context
-// signatures and reward probes to the low-level controllers that accept
-// them — so contextual agents and scenario probes compose with
+// Every low-level controller opens a step and observes every step
+// reward, but only the controller chosen by the high-level bandit steers
+// the hardware. The high-level bandit treats "which candidate" as its
+// own arm space and is rewarded with the same step reward. Selector
+// implements Controller, ContextSetter, and ProbeSetter, forwarding
+// context signatures and reward probes to the low-level controllers that
+// accept them — so contextual agents and scenario probes compose with
 // selection unchanged.
 type Selector struct {
 	high   *Agent
@@ -46,8 +48,13 @@ func NewSelector(highCfg Config, lows []Controller, labels []string, arms int) (
 	if len(labels) != len(lows) {
 		return nil, fmt.Errorf("core: selector has %d labels for %d agents", len(labels), len(lows))
 	}
-	if arms < 2 {
-		return nil, fmt.Errorf("core: selector needs at least 2 hardware arms, got %d", arms)
+	if arms < 1 {
+		return nil, fmt.Errorf("core: selector needs at least 1 hardware arm, got %d", arms)
+	}
+	for i, l := range lows {
+		if a, ok := l.(interface{ Arms() int }); ok && a.Arms() != arms {
+			return nil, fmt.Errorf("core: selector candidate %d has %d arms, want %d", i, a.Arms(), arms)
+		}
 	}
 	highCfg.Arms = len(lows)
 	high, err := New(highCfg)
@@ -70,9 +77,21 @@ func (s *Selector) Labels() []string { return s.labels }
 // recent) step.
 func (s *Selector) CurrentLevel() int { return s.current }
 
+// StepOpen reports whether a Step call is awaiting its Reward.
+func (s *Selector) StepOpen() bool { return s.inStep }
+
 // BestLevel returns the candidate the high-level bandit currently rates
 // best.
 func (s *Selector) BestLevel() int { return s.high.BestArm() }
+
+// BestArm returns the hardware arm the best-rated candidate currently
+// rates best, or -1 when that candidate does not report one.
+func (s *Selector) BestArm() int {
+	if c, ok := s.low[s.BestLevel()].(interface{ BestArm() int }); ok {
+		return c.BestArm()
+	}
+	return -1
+}
 
 // Step implements Controller: the high-level bandit picks a candidate;
 // that candidate picks the hardware arm. Every other candidate also
@@ -99,8 +118,12 @@ func (s *Selector) Step() int {
 }
 
 // Reward implements Controller: the shared step reward trains the
-// high-level bandit and every candidate (see MetaAgent.Reward for the
-// off-policy caveat).
+// high-level bandit and every candidate.
+//
+// Off-policy caveat: a non-selected candidate is credited as if its own
+// arm choice had produced the reward. With high temporal homogeneity the
+// candidates mostly agree on the arm, so the approximation is tight — and
+// it is what a storage-free shadow implementation can do in hardware.
 func (s *Selector) Reward(rStep float64) {
 	if !s.inStep {
 		panic("core: Selector Reward called without a pending Step")
@@ -169,6 +192,36 @@ func (s *Selector) Reset() {
 	s.current = 0
 	s.inStep = false
 	s.started = false
+}
+
+// NewDUCBSweepMeta builds the §9 configuration: one low-level DUCB agent
+// per (c, γ) pair over the given arm count, labelled by its pair, under a
+// DUCB high-level selector with the same exploration constant as the
+// first pair.
+func NewDUCBSweepMeta(arms int, pairs [][2]float64, normalize bool, seed uint64) (*Selector, error) {
+	if len(pairs) < 2 {
+		return nil, fmt.Errorf("core: hyperparameter sweep needs at least 2 (c, gamma) pairs")
+	}
+	lows := make([]Controller, len(pairs))
+	labels := make([]string, len(pairs))
+	for i, p := range pairs {
+		a, err := New(Config{
+			Arms:      arms,
+			Policy:    NewDUCB(p[0], p[1]),
+			Normalize: normalize,
+			Seed:      seed + uint64(i)*0x9e37,
+		})
+		if err != nil {
+			return nil, err
+		}
+		lows[i] = a
+		labels[i] = fmt.Sprintf("ducb(c=%g,gamma=%g)", p[0], p[1])
+	}
+	return NewSelector(Config{
+		Policy:    NewDUCB(pairs[0][0], 0.999),
+		Normalize: normalize,
+		Seed:      seed ^ 0x4d657461,
+	}, lows, labels, arms)
 }
 
 var (

@@ -6,9 +6,10 @@ import (
 )
 
 // This file is the agent checkpoint codec: a versioned, JSON-stable
-// snapshot of everything an Agent (or MetaAgent) needs to continue a
-// decision loop after a process restart — learned tables, RNG state,
-// pending forced arms, normalization constant, and policy mode state.
+// snapshot of everything an Agent (or a Selector over Agents) needs to
+// continue a decision loop after a process restart — learned tables, RNG
+// state, pending forced arms, normalization constant, and policy mode
+// state.
 //
 // The contract, enforced by tests, is twofold:
 //
@@ -309,7 +310,12 @@ func RestoreAgent(s *AgentSnapshot) (*Agent, error) {
 	if s == nil {
 		return nil, snapErrf("nil snapshot")
 	}
-	sl, err := NewSlab(max(s.Arms, 1), 1)
+	// Validate before sizing the slab: the arm count is outside input,
+	// and only a consistent snapshot (tables of Arms entries) bounds it.
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	sl, err := NewSlab(s.Arms, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -376,42 +382,51 @@ func RestoreAgentJSON(data []byte) (*Agent, error) {
 	return RestoreAgent(&s)
 }
 
-// MetaAgentSnapshot is the full serialized state of a MetaAgent: the
-// high-level selector, every low-level agent, and the switch state.
-type MetaAgentSnapshot struct {
+// SelectorSnapshot is the full serialized state of a Selector whose
+// candidates are all Agents: the high-level bandit, every candidate, the
+// candidate labels, and the switch state.
+type SelectorSnapshot struct {
 	V       int              `json:"v"`
 	High    *AgentSnapshot   `json:"high"`
 	Lows    []*AgentSnapshot `json:"lows"`
+	Labels  []string         `json:"labels"`
 	Current int              `json:"current"`
 	InStep  bool             `json:"in_step,omitempty"`
 	Started bool             `json:"started,omitempty"`
 }
 
-// Snapshot captures the meta agent's complete state.
-func (m *MetaAgent) Snapshot() (*MetaAgentSnapshot, error) {
-	high, err := m.high.Snapshot()
+// Snapshot captures the selector's complete state. It fails when a
+// candidate is not an *Agent (other controllers have no snapshot form
+// here) or an agent's policy is not snapshotable.
+func (s *Selector) Snapshot() (*SelectorSnapshot, error) {
+	high, err := s.high.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	lows := make([]*AgentSnapshot, len(m.low))
-	for i, l := range m.low {
-		if lows[i], err = l.Snapshot(); err != nil {
+	lows := make([]*AgentSnapshot, len(s.low))
+	for i, l := range s.low {
+		a, ok := l.(*Agent)
+		if !ok {
+			return nil, snapErrf("selector candidate %d (%T) is not snapshotable", i, l)
+		}
+		if lows[i], err = a.Snapshot(); err != nil {
 			return nil, err
 		}
 	}
-	return &MetaAgentSnapshot{
+	return &SelectorSnapshot{
 		V:       SnapshotVersion,
 		High:    high,
 		Lows:    lows,
-		Current: m.current,
-		InStep:  m.inStep,
-		Started: m.started,
+		Labels:  append([]string(nil), s.labels...),
+		Current: s.current,
+		InStep:  s.inStep,
+		Started: s.started,
 	}, nil
 }
 
-// RestoreMetaAgent rebuilds a MetaAgent from a snapshot, with the same
+// RestoreSelector rebuilds a Selector from a snapshot, with the same
 // continuation guarantees as RestoreAgent.
-func RestoreMetaAgent(s *MetaAgentSnapshot) (*MetaAgent, error) {
+func RestoreSelector(s *SelectorSnapshot) (*Selector, error) {
 	if s == nil {
 		return nil, snapErrf("nil snapshot")
 	}
@@ -419,13 +434,16 @@ func RestoreMetaAgent(s *MetaAgentSnapshot) (*MetaAgent, error) {
 		return nil, &VersionError{Got: s.V, Want: SnapshotVersion}
 	}
 	if s.High == nil {
-		return nil, snapErrf("meta agent snapshot has no high-level agent")
+		return nil, snapErrf("selector snapshot has no high-level agent")
 	}
 	if len(s.Lows) < 2 {
-		return nil, snapErrf("meta agent snapshot has %d low-level agents, need at least 2", len(s.Lows))
+		return nil, snapErrf("selector snapshot has %d low-level agents, need at least 2", len(s.Lows))
+	}
+	if len(s.Labels) != len(s.Lows) {
+		return nil, snapErrf("selector snapshot has %d labels for %d low-level agents", len(s.Labels), len(s.Lows))
 	}
 	if s.Current < 0 || s.Current >= len(s.Lows) {
-		return nil, snapErrf("meta agent current level %d outside [0,%d)", s.Current, len(s.Lows))
+		return nil, snapErrf("selector current level %d outside [0,%d)", s.Current, len(s.Lows))
 	}
 	high, err := RestoreAgent(s.High)
 	if err != nil {
@@ -434,33 +452,37 @@ func RestoreMetaAgent(s *MetaAgentSnapshot) (*MetaAgent, error) {
 	if high.Arms() != len(s.Lows) {
 		return nil, snapErrf("high level has %d arms, want %d low-level agents", high.Arms(), len(s.Lows))
 	}
-	lows := make([]*Agent, len(s.Lows))
+	lows := make([]Controller, len(s.Lows))
 	arms := -1
 	for i, ls := range s.Lows {
-		if lows[i], err = RestoreAgent(ls); err != nil {
+		a, err := RestoreAgent(ls)
+		if err != nil {
 			return nil, fmt.Errorf("low level %d: %w", i, err)
 		}
 		if arms == -1 {
-			arms = lows[i].Arms()
-		} else if lows[i].Arms() != arms {
-			return nil, snapErrf("low-level agent %d has %d arms, want %d", i, lows[i].Arms(), arms)
+			arms = a.Arms()
+		} else if a.Arms() != arms {
+			return nil, snapErrf("low-level agent %d has %d arms, want %d", i, a.Arms(), arms)
 		}
+		lows[i] = a
 	}
-	return &MetaAgent{
+	return &Selector{
 		high:    high,
 		low:     lows,
+		labels:  append([]string(nil), s.Labels...),
+		arms:    arms,
 		current: s.Current,
 		inStep:  s.InStep,
 		started: s.Started,
 	}, nil
 }
 
-// RestoreMetaAgentJSON decodes a JSON-encoded MetaAgentSnapshot and
-// restores the meta agent, with RestoreAgentJSON's error contract.
-func RestoreMetaAgentJSON(data []byte) (*MetaAgent, error) {
-	var s MetaAgentSnapshot
+// RestoreSelectorJSON decodes a JSON-encoded SelectorSnapshot and
+// restores the selector, with RestoreAgentJSON's error contract.
+func RestoreSelectorJSON(data []byte) (*Selector, error) {
+	var s SelectorSnapshot
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, snapErrf("decode: %v", err)
 	}
-	return RestoreMetaAgent(&s)
+	return RestoreSelector(&s)
 }

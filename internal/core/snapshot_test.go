@@ -134,7 +134,7 @@ func TestSnapshotRestoreContinuation(t *testing.T) {
 }
 
 func TestMetaSnapshotRoundTripAndContinuation(t *testing.T) {
-	build := func() *MetaAgent {
+	build := func() *Selector {
 		return mustSweepMeta(t)
 	}
 	orig := build()
@@ -148,7 +148,7 @@ func TestMetaSnapshotRoundTripAndContinuation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	restored, err := RestoreMetaAgentJSON(b1)
+	restored, err := RestoreSelectorJSON(b1)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -179,7 +179,32 @@ func TestMetaSnapshotRoundTripAndContinuation(t *testing.T) {
 	}
 }
 
-func mustSweepMeta(t *testing.T) *MetaAgent {
+// TestSelectorSnapshotValidation: a selector over a non-Agent candidate
+// has no snapshot, and a snapshot whose labels do not match its
+// candidates does not restore.
+func TestSelectorSnapshotValidation(t *testing.T) {
+	sel, err := NewSelector(Config{Policy: NewUCB(0.1), Seed: 1},
+		[]Controller{MustNew(Config{Arms: 3, Policy: NewUCB(0.1), Seed: 2}), FixedArm(1)},
+		[]string{"ucb", "static"}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se *SnapshotError
+	if _, err := sel.Snapshot(); !errors.As(err, &se) {
+		t.Fatalf("Snapshot over a FixedArm candidate: err = %v, want *SnapshotError", err)
+	}
+
+	snap, err := mustSweepMeta(t).Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	snap.Labels = snap.Labels[:1]
+	if _, err := RestoreSelector(snap); !errors.As(err, &se) {
+		t.Fatalf("Restore with %d labels for %d agents: err = %v, want *SnapshotError", len(snap.Labels), len(snap.Lows), err)
+	}
+}
+
+func mustSweepMeta(t *testing.T) *Selector {
 	t.Helper()
 	m, err := NewDUCBSweepMeta(4, [][2]float64{{0.04, 0.999}, {0.01, 0.975}, {0.1, 0.99}}, true, 11)
 	if err != nil {
@@ -259,11 +284,22 @@ func TestRestoreTypedErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("huge arm count", func(t *testing.T) {
+		// The arm count sizes the restored agent's tables; an
+		// inconsistent one must be rejected before anything is sized.
+		s := *snap
+		s.Arms = 1 << 62
+		var se *SnapshotError
+		if _, err := RestoreAgent(&s); !errors.As(err, &se) {
+			t.Fatalf("want *SnapshotError, got %v", err)
+		}
+	})
+
 	t.Run("nil snapshot", func(t *testing.T) {
 		if _, err := RestoreAgent(nil); err == nil {
 			t.Fatal("want error for nil snapshot")
 		}
-		if _, err := RestoreMetaAgent(nil); err == nil {
+		if _, err := RestoreSelector(nil); err == nil {
 			t.Fatal("want error for nil meta snapshot")
 		}
 	})

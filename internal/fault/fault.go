@@ -18,11 +18,15 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Kind names one fault model.
+// Kind names one fault model. The reward-channel kinds (Noise, Quantize,
+// Delay) and Panic wrap a core.Controller, so they apply to simulated runs
+// and served sessions alike; StuckArm, BWCollapse and PhaseStorm wrap the
+// arm surface, the DRAM channel and the workload of a simulated run.
 type Kind string
 
 // Fault kinds.
@@ -55,43 +59,21 @@ const (
 	// Intensity — not a microarchitectural fault but a harness one,
 	// used to exercise the experiment engine's graceful degradation.
 	Panic Kind = "panic"
-	// Partition severs a serving node's transport in bursts: each
-	// 64-request window is partitioned with probability Intensity, and
-	// every request inside a partitioned window is answered with a bare
-	// 503 (the closest an http.Handler can come to a cut cable). The
-	// cluster router sees exactly what a flaky network gives it:
-	// stretches of dead air that must trigger retry, then failover.
-	Partition Kind = "partition"
-	// SlowNode stretches a serving node's response time: each request is
-	// delayed by an exponentially distributed latency with mean
-	// Intensity·2ms (capped at 20ms), modeling a node losing the CPU to
-	// a noisy neighbor without ever failing outright.
-	SlowNode Kind = "slownode"
 )
 
-// Kinds lists every fault kind in canonical order.
-func Kinds() []Kind {
-	return []Kind{Noise, Quantize, Delay, StuckArm, BWCollapse, PhaseStorm, Panic, Partition, SlowNode}
-}
+// kinds lists every fault kind in canonical order.
+var kinds = []Kind{Noise, Quantize, Delay, StuckArm, BWCollapse, PhaseStorm, Panic}
 
 // KindNames lists every fault kind as strings (CLI usage messages).
 func KindNames() []string {
-	ks := Kinds()
-	out := make([]string, len(ks))
-	for i, k := range ks {
+	out := make([]string, len(kinds))
+	for i, k := range kinds {
 		out[i] = string(k)
 	}
 	return out
 }
 
-func knownKind(k Kind) bool {
-	for _, known := range Kinds() {
-		if k == known {
-			return true
-		}
-	}
-	return false
-}
+func knownKind(k Kind) bool { return slices.Contains(kinds, k) }
 
 // Spec is one configured fault: what to inject, how hard, and the seed of
 // its private random stream.

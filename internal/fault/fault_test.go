@@ -353,3 +353,22 @@ func TestBandwidthCollapse(t *testing.T) {
 		t.Errorf("collapse fraction %v far from intensity 0.5", frac)
 	}
 }
+
+// TestServedSessionRejectsTransportKinds: the transport kinds of the
+// deleted cluster layer (partition, slownode) are no longer fault kinds,
+// so a spec naming one fails to parse — listing the valid kinds — instead
+// of arming a fault that nothing realizes.
+func TestServedSessionRejectsTransportKinds(t *testing.T) {
+	for _, s := range []string{"partition:0.5", "slownode:0.25:9"} {
+		_, err := ParseSpec(s)
+		if err == nil {
+			t.Fatalf("ParseSpec(%q) accepted a transport kind", s)
+		}
+		if !strings.Contains(err.Error(), "unknown kind") || !strings.Contains(err.Error(), strings.Join(KindNames(), ", ")) {
+			t.Fatalf("ParseSpec(%q) error %q does not list the valid kinds", s, err)
+		}
+		if _, err := ParseSet("noise:0.1," + s); err == nil {
+			t.Fatalf("ParseSet accepted %q", s)
+		}
+	}
+}

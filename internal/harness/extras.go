@@ -41,7 +41,8 @@ var metaPairs = [][2]float64{
 	{4 * core.PrefetchC, core.PrefetchGamma},
 }
 
-// Extras runs the BOP and MetaAgent comparisons on the catalog apps.
+// Extras runs the BOP and hierarchical-bandit comparisons on the
+// catalog apps.
 func Extras(o Options) ExtrasResult {
 	apps := o.apps(trace.Catalog())
 	memCfg := mem.DefaultConfig()

@@ -188,7 +188,7 @@ func (c *Collector) Runs() int {
 }
 
 // Attach wires rec into any controller that exposes
-// SetRecorder(Recorder, int) — core.Agent and core.MetaAgent do —
+// SetRecorder(Recorder, int) — core.Agent and core.Selector do —
 // without obs importing core. Controllers with no recorder support
 // (fixed arms, fault wrappers) are left unwired; attach to the inner
 // controller before wrapping it.

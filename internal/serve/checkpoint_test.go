@@ -104,6 +104,14 @@ func TestCheckpointReplayAcrossRestart(t *testing.T) {
 	if st2.Len() != len(ids)+1 {
 		t.Fatalf("restored %d sessions, want %d", st2.Len(), len(ids)+1)
 	}
+	// Agent records restore into their shard's slab, so the restored
+	// sessions stay eligible for the /v1/batch kernels.
+	for _, id := range st2.IDs() {
+		s, _ := st2.Get(id)
+		if _, isAgent := s.agent.(*core.Agent); isAgent && (s.slab == nil || !s.kernelOK) {
+			t.Fatalf("agent session %s (%s) restored off the batch kernels", id, s.spec.Algo)
+		}
+	}
 	got := driveSessions(t, st2, ids, 120)
 	for _, id := range ids {
 		w, g := want[id], got[id]
@@ -269,12 +277,13 @@ func TestRestoreCheckpointTypedErrors(t *testing.T) {
 		{"not json", []byte("definitely not json")},
 		{"truncated", good[:len(good)/2]},
 		{"wrong version", []byte(`{"v":999,"next_id":1,"sessions":[]}`)},
-		{"missing id", []byte(`{"v":2,"next_id":1,"sessions":[{"spec":{"arms":2},"kind":"fixed"}]}`)},
-		{"unknown kind", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"alien"}]}`)},
-		{"bad spec", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":0},"kind":"fixed"}]}`)},
-		{"fixed arm out of range", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":9}]}`)},
-		{"agent payload garbage", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1}}]}`)},
-		{"open arm out of range", []byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":0,"open":true,"arm":7}]}`)},
+		{"missing id", []byte(`{"v":3,"next_id":1,"sessions":[{"spec":{"arms":2},"kind":"fixed"}]}`)},
+		{"unknown kind", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"alien"}]}`)},
+		{"bad spec", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":0},"kind":"fixed"}]}`)},
+		{"fixed arm out of range", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":9}]}`)},
+		{"agent payload garbage", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1}}]}`)},
+		{"meta low arms huge", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"meta_pairs":[[0.5,0.99],[1,0.999]]},"kind":"meta","agent":{"v":1,"high":{"v":1,"arms":2,"policy":{"kind":"ucb"},"seed":1,"rtable":[0,0],"ntable":[0,0],"ntotal":0,"steps":0,"current_arm":0,"rng":[1,2,3,4]},"lows":[{"v":1,"arms":4611686018427387904},{"v":1,"arms":2}],"labels":["a","b"],"current":0}}]}`)},
+		{"open arm out of range", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":0,"open":true,"arm":7}]}`)},
 		{"duplicate id", dupSessionCheckpoint(t, good)},
 	}
 	for _, c := range cases {
@@ -300,25 +309,6 @@ func dupSessionCheckpoint(t *testing.T, good []byte) []byte {
 		t.Fatalf("unmarshal good checkpoint: %v", err)
 	}
 	file.Sessions = append(file.Sessions, file.Sessions...)
-	for gi := range file.Slabs {
-		g := &file.Slabs[gi]
-		g.IDs = append(g.IDs, g.IDs...)
-		g.Specs = append(g.Specs, g.Specs...)
-		g.Seqs = append(g.Seqs, g.Seqs...)
-		g.Opens = append(g.Opens, g.Opens...)
-		g.OpenArms = append(g.OpenArms, g.OpenArms...)
-		g.R = append(g.R, g.R...)
-		g.N = append(g.N, g.N...)
-		g.NTotals = append(g.NTotals, g.NTotals...)
-		g.Steps = append(g.Steps, g.Steps...)
-		g.CurrentArms = append(g.CurrentArms, g.CurrentArms...)
-		g.InSteps = append(g.InSteps, g.InSteps...)
-		g.ForcedLens = append(g.ForcedLens, g.ForcedLens...)
-		g.RAvgs = append(g.RAvgs, g.RAvgs...)
-		g.Normalizeds = append(g.Normalizeds, g.Normalizeds...)
-		g.Restarts = append(g.Restarts, g.Restarts...)
-		g.RNGs = append(g.RNGs, g.RNGs...)
-	}
 	data, err := json.Marshal(file)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -362,6 +352,9 @@ func TestCheckpointFaultSpecRoundTrips(t *testing.T) {
 	if _, ok := s2.drive.(*core.Agent); ok {
 		t.Fatal("restored drive is the bare agent; fault wrapper not rebuilt")
 	}
+	if s2.slab == nil || s2.kernelOK {
+		t.Fatal("faulted agent session must restore into the slab but off the batch kernels")
+	}
 	// The restored session still serves.
 	seq, _, err := s2.Step()
 	if err != nil {
@@ -372,81 +365,15 @@ func TestCheckpointFaultSpecRoundTrips(t *testing.T) {
 	}
 }
 
-// checkpointPerSession encodes a store as a version-2 file whose every
-// session, slab-eligible or not, is a per-session record — the other of
-// the two encodings the restorer accepts.
-func checkpointPerSession(t *testing.T, st *Store) []byte {
-	t.Helper()
-	file := checkpointFile{V: CheckpointVersion, NextID: st.nextID.Load()}
-	for _, id := range st.IDs() {
-		s, ok := st.Get(id)
-		if !ok {
-			continue
-		}
-		ck, snap, err := checkpointSession(s)
-		if err != nil {
-			t.Fatalf("checkpointSession(%s): %v", id, err)
-		}
-		if snap != nil {
-			data, err := json.Marshal(snap)
-			if err != nil {
-				t.Fatalf("marshal snapshot %s: %v", id, err)
-			}
-			ck.Agent = data
-		}
-		file.Sessions = append(file.Sessions, ck)
-	}
-	data, err := json.Marshal(file)
-	if err != nil {
-		t.Fatalf("marshal per-session file: %v", err)
-	}
-	return data
-}
+// v2CheckpointPath holds a version-2 file as the previous build wrote
+// it: the golden session script, with slab-eligible agents in column
+// slab groups.
+var v2CheckpointPath = filepath.Join("testdata", "checkpoint_v2.json")
 
-// TestCheckpointPerSessionMatchesSlab: the all-per-session encoding and
-// the slab encoding of the same store restore into sessions with
-// identical future decision streams, so the two record formats cannot
-// drift apart.
-func TestCheckpointPerSessionMatchesSlab(t *testing.T) {
-	st := NewStore(2)
-	var ids []string
-	for _, sp := range ckptSpecs() {
-		s, err := st.Create(sp)
-		if err != nil {
-			t.Fatalf("Create(%+v): %v", sp, err)
-		}
-		ids = append(ids, s.ID())
-	}
-	driveSessions(t, st, ids, 25)
-
-	records := checkpointPerSession(t, st)
-	slabs, err := st.Checkpoint()
-	if err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	st1, err := RestoreCheckpoint(records, 3)
-	if err != nil {
-		t.Fatalf("RestoreCheckpoint(per-session): %v", err)
-	}
-	st2, err := RestoreCheckpoint(slabs, 3)
-	if err != nil {
-		t.Fatalf("RestoreCheckpoint(slab): %v", err)
-	}
-	got1 := driveSessions(t, st1, ids, 80)
-	got2 := driveSessions(t, st2, ids, 80)
-	for _, id := range ids {
-		a, b := got1[id], got2[id]
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("session %s: per-session and slab restores diverge at decision %d (%d vs %d)", id, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-// TestRestoreRefusesV1: a version-1 file (the same per-session records
-// under "v":1) is refused with a typed error naming the one version
-// this build reads.
+// TestRestoreRefusesV1: files of the older versions — version 1, and
+// version 2 both as per-session records and as the previous build's
+// slab-group file — are refused with a typed error naming their version
+// and the one version this build reads.
 func TestRestoreRefusesV1(t *testing.T) {
 	st := NewStore(1)
 	for _, sp := range ckptSpecs() {
@@ -454,111 +381,37 @@ func TestRestoreRefusesV1(t *testing.T) {
 			t.Fatalf("Create(%+v): %v", sp, err)
 		}
 	}
-	v1 := mutateCheckpoint(t, checkpointPerSession(t, st), func(f *checkpointFile) { f.V = 1 })
-	_, err := RestoreCheckpoint(v1, 1)
-	var ce *CheckpointError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v (%T), want *CheckpointError", err, err)
-	}
-	if want := fmt.Sprintf("version %d", CheckpointVersion); !strings.Contains(ce.Error(), want) {
-		t.Fatalf("error %q does not name %q", ce.Error(), want)
-	}
-}
-
-// TestCheckpointV2SlabLayout: eligible sessions (stateless-policy agents,
-// registry hyperparameters) land in column slab groups — including
-// fault-armed ones, whose wrapper is rebuilt from the spec — while mode
-// -stateful agents, fixed arms, and meta sessions keep per-session
-// records. Restored slab sessions come back batch-kernel eligible.
-func TestCheckpointV2SlabLayout(t *testing.T) {
-	st := NewStore(2)
-	var ids []string
-	for _, sp := range append(ckptSpecs(), Spec{Algo: "ducb", Arms: 5, Seed: 77, Faults: "noise:0.2"}) {
-		s, err := st.Create(sp)
-		if err != nil {
-			t.Fatalf("Create(%+v): %v", sp, err)
-		}
-		ids = append(ids, s.ID())
-	}
-	driveSessions(t, st, ids, 12)
-
-	data, err := st.Checkpoint()
+	good, err := st.Checkpoint()
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	var file checkpointFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		t.Fatalf("unmarshal checkpoint: %v", err)
-	}
-	if file.V != CheckpointVersion {
-		t.Fatalf("file version %d, want %d", file.V, CheckpointVersion)
-	}
-	// ducb/5 (two sessions: plain + faulted), eps/4, ucb/3.
-	if len(file.Slabs) != 3 {
-		t.Fatalf("got %d slab groups, want 3", len(file.Slabs))
-	}
-	entries := 0
-	for gi := range file.Slabs {
-		g := &file.Slabs[gi]
-		if err := g.validate(); err != nil {
-			t.Fatalf("written group fails validate: %v", err)
-		}
-		if gi > 0 {
-			prev := &file.Slabs[gi-1]
-			if slabGroupKey(prev.Algo, prev.Arms) >= slabGroupKey(g.Algo, g.Arms) {
-				t.Fatalf("slab groups not sorted: %s/%d before %s/%d", prev.Algo, prev.Arms, g.Algo, g.Arms)
-			}
-		}
-		for i, sp := range g.Specs {
-			if sp.Algo != g.Algo || sp.Arms != g.Arms {
-				t.Fatalf("group %s/%d entry %d has spec %s/%d", g.Algo, g.Arms, i, sp.Algo, sp.Arms)
-			}
-		}
-		entries += len(g.IDs)
-	}
-	if entries != 4 {
-		t.Fatalf("%d slab entries, want 4 (ducb x2, ucb, eps)", entries)
-	}
-	// single, periodic, static:1, meta stay as per-session records.
-	if len(file.Sessions) != 4 {
-		t.Fatalf("%d per-session records, want 4", len(file.Sessions))
-	}
-	for _, ck := range file.Sessions {
-		if slabAlgos[ck.Spec.Algo] && len(ck.Spec.MetaPairs) == 0 {
-			t.Fatalf("slab-eligible session %s written as a per-session record", ck.ID)
-		}
-	}
-
-	st2, err := RestoreCheckpoint(data, 1)
+	v2, err := os.ReadFile(v2CheckpointPath)
 	if err != nil {
-		t.Fatalf("RestoreCheckpoint: %v", err)
+		t.Fatalf("read v2 checkpoint: %v", err)
 	}
-	kernelEligible := 0
-	for _, id := range st2.IDs() {
-		s, ok := st2.Get(id)
-		if !ok {
-			t.Fatalf("restored session %s missing", id)
+	for _, c := range []struct {
+		v    int
+		data []byte
+	}{
+		{1, mutateCheckpoint(t, good, func(f *checkpointFile) { f.V = 1 })},
+		{2, mutateCheckpoint(t, good, func(f *checkpointFile) { f.V = 2 })},
+		{2, v2},
+	} {
+		_, err := RestoreCheckpoint(c.data, 1)
+		var ce *CheckpointError
+		if !errors.As(err, &ce) {
+			t.Fatalf("v%d: err = %v (%T), want *CheckpointError", c.v, err, err)
 		}
-		if s.spec.Faults != "" {
-			if s.kernelOK {
-				t.Fatalf("faulted session %s restored kernel-eligible", id)
-			}
-			continue
+		want := fmt.Sprintf("version %d (this build reads version %d only)", c.v, CheckpointVersion)
+		if !strings.Contains(ce.Error(), want) {
+			t.Fatalf("v%d: error %q does not contain %q", c.v, ce.Error(), want)
 		}
-		if s.slab != nil {
-			if !s.kernelOK {
-				t.Fatalf("fault-free slab session %s restored with kernelOK=false", id)
-			}
-			kernelEligible++
-		}
-	}
-	if kernelEligible < 3 {
-		t.Fatalf("only %d restored sessions are kernel-eligible, want >= 3", kernelEligible)
 	}
 }
 
-// TestRestoreSlabHostile: structurally broken slab groups are rejected
-// with typed *CheckpointError values, never panics or silent corruption.
+// TestRestoreSlabHostile: structurally broken agent records — the ones
+// that restore into a shard slab — are rejected with typed
+// *CheckpointError values, never panics or silent corruption.
 func TestRestoreSlabHostile(t *testing.T) {
 	st := NewStore(1)
 	s, err := st.Create(Spec{Algo: "eps", Arms: 3, Seed: 9})
@@ -576,41 +429,28 @@ func TestRestoreSlabHostile(t *testing.T) {
 		name   string
 		mutate func(f *checkpointFile)
 	}{
-		{"empty id", func(f *checkpointFile) { f.Slabs[0].IDs[0] = "" }},
-		{"non-slab algo", func(f *checkpointFile) {
-			f.Slabs[0].Algo = "periodic"
-			f.Slabs[0].Specs[0].Algo = "periodic"
+		{"empty id", func(f *checkpointFile) { f.Sessions[0].ID = "" }},
+		{"spec arms mismatch", func(f *checkpointFile) { f.Sessions[0].Spec.Arms++ }},
+		{"table length mismatch", func(f *checkpointFile) {
+			editAgentRecord(t, &f.Sessions[0], func(a *core.AgentSnapshot) { a.R = a.R[:1] })
 		}},
-		{"spec algo mismatch", func(f *checkpointFile) { f.Slabs[0].Specs[0].Algo = "ucb" }},
-		{"spec arms mismatch", func(f *checkpointFile) { f.Slabs[0].Specs[0].Arms++ }},
-		{"column length mismatch", func(f *checkpointFile) { f.Slabs[0].Seqs = nil }},
-		{"table length mismatch", func(f *checkpointFile) { f.Slabs[0].R = f.Slabs[0].R[:1] }},
-		{"forced len out of range", func(f *checkpointFile) { f.Slabs[0].ForcedLens[0] = f.Slabs[0].Arms + 1 }},
-		{"negative forced len", func(f *checkpointFile) { f.Slabs[0].ForcedLens[0] = -1 }},
 		{"open arm out of range", func(f *checkpointFile) {
-			f.Slabs[0].Opens[0] = true
-			f.Slabs[0].OpenArms[0] = f.Slabs[0].Arms + 2
+			f.Sessions[0].Open = true
+			f.Sessions[0].Arm = f.Sessions[0].Spec.Arms + 2
 		}},
-		{"arms zero", func(f *checkpointFile) { f.Slabs[0].Arms = 0 }},
+		{"arms zero", func(f *checkpointFile) {
+			editAgentRecord(t, &f.Sessions[0], func(a *core.AgentSnapshot) { a.Arms = 0 })
+		}},
 		{"id collides with session record", func(f *checkpointFile) {
 			f.Sessions = append(f.Sessions, sessionCheckpoint{
-				ID: f.Slabs[0].IDs[0], Spec: Spec{Algo: "static:0", Arms: 2},
+				ID: f.Sessions[0].ID, Spec: Spec{Algo: "static:0", Arms: 2},
 				Kind: ckptFixed, FixedArm: 0,
 			})
 		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var file checkpointFile
-			if err := json.Unmarshal(base, &file); err != nil {
-				t.Fatalf("unmarshal base: %v", err)
-			}
-			c.mutate(&file)
-			data, err := json.Marshal(file)
-			if err != nil {
-				t.Fatalf("marshal mutated: %v", err)
-			}
-			_, err = RestoreCheckpoint(data, 1)
+			_, err := RestoreCheckpoint(mutateCheckpoint(t, base, c.mutate), 1)
 			var ce *CheckpointError
 			if !errors.As(err, &ce) {
 				t.Fatalf("err = %v (%T), want *CheckpointError", err, err)
@@ -620,9 +460,9 @@ func TestRestoreSlabHostile(t *testing.T) {
 }
 
 // TestRestoreCorruptedCheckpointFiles feeds damaged checkpoint bytes —
-// truncations and single-bit flips at byte strides, over both v2
-// encodings (all per-session records, and slab groups) — through
-// RestoreCheckpoint.
+// truncations and single-bit flips at byte strides, over a version-3
+// file and two version-2 files (per-session records, and the previous
+// build's slab-group golden) — through RestoreCheckpoint.
 // The contract under fire: a restore either succeeds or returns a typed
 // *CheckpointError (naming the byte offset for decode failures), and it
 // never panics. This is the on-disk analogue of a crash mid-write.
@@ -638,16 +478,20 @@ func TestRestoreCorruptedCheckpointFiles(t *testing.T) {
 	}
 	driveSessions(t, st, ids, 12)
 
-	records := checkpointPerSession(t, st)
-	v2, err := st.Checkpoint()
+	v3, err := st.Checkpoint()
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
+	}
+	records := mutateCheckpoint(t, v3, func(f *checkpointFile) { f.V = 2 })
+	v2, err := os.ReadFile(v2CheckpointPath)
+	if err != nil {
+		t.Fatalf("read v2 checkpoint: %v", err)
 	}
 
 	for _, f := range []struct {
 		name string
 		data []byte
-	}{{"v2-records", records}, {"v2", v2}} {
+	}{{"v2-records", records}, {"v2", v2}, {"v3", v3}} {
 		f := f
 		t.Run(f.name+"/truncated", func(t *testing.T) {
 			// Every proper prefix of the JSON object is malformed: the

@@ -574,46 +574,52 @@ func TestRestoreMetaSpecSkew(t *testing.T) {
 	}
 }
 
-// TestRestoreSlabInStepSkew: a slab group entry whose in_steps column
-// disagrees with its opens column is a typed error, not a session that
-// conflicts on its first operation.
+// TestRestoreSlabInStepSkew: an agent record, as Checkpoint writes it
+// for a slab-resident session, whose agent in_step disagrees with the
+// session's open flag is a typed error, not a session that conflicts on
+// its first operation.
 func TestRestoreSlabInStepSkew(t *testing.T) {
 	base, id := ckptForSpec(t, Spec{Algo: "ducb", Arms: 3, Seed: 5}, 10)
 	t.Run("open without in-step", func(t *testing.T) {
 		wantCheckpointError(t, mutateCheckpoint(t, base, func(f *checkpointFile) {
-			f.Slabs[0].Opens[0] = true
-			f.Slabs[0].OpenArms[0] = 1
+			f.Sessions[0].Open = true
+			f.Sessions[0].Arm = 1
 		}), id)
 	})
 	t.Run("in-step without open", func(t *testing.T) {
 		wantCheckpointError(t, mutateCheckpoint(t, base, func(f *checkpointFile) {
-			f.Slabs[0].InSteps[0] = true
-			f.Slabs[0].CurrentArms[0] = 1
+			editAgentRecord(t, &f.Sessions[0], func(a *core.AgentSnapshot) {
+				a.InStep = true
+				a.CurrentArm = 1
+			})
 		}), id)
 	})
 }
 
-// TestSlabValidateDeterministicColumn: when several columns are
-// simultaneously wrong, validate names the same (first) column every
-// time — error strings are part of the operator-facing contract and must
-// not depend on iteration order.
+// TestSlabValidateDeterministicColumn: when several fields of an agent
+// record are simultaneously wrong, the restore names the same (first)
+// problem every time — error strings are part of the operator-facing
+// contract and must not depend on iteration order.
 func TestSlabValidateDeterministicColumn(t *testing.T) {
 	base, _ := ckptForSpec(t, Spec{Algo: "ducb", Arms: 3, Seed: 6}, 4)
 	var first string
 	for i := 0; i < 20; i++ {
 		data := mutateCheckpoint(t, base, func(f *checkpointFile) {
-			g := &f.Slabs[0]
-			g.Seqs = nil
-			g.Restarts = nil
-			g.RNGs = nil
+			ck := &f.Sessions[0]
+			ck.Open = true
+			ck.Arm = 7
+			editAgentRecord(t, ck, func(a *core.AgentSnapshot) {
+				a.R = nil
+				a.Forced = []int{9}
+			})
 		})
 		_, err := RestoreCheckpoint(data, 1)
 		var ce *CheckpointError
 		if !errors.As(err, &ce) {
 			t.Fatalf("run %d: err = %v (%T), want *CheckpointError", i, err, err)
 		}
-		if !strings.Contains(ce.Error(), "seqs") {
-			t.Fatalf("run %d: error %q does not name first column %q", i, ce.Error(), "seqs")
+		if !strings.Contains(ce.Error(), "open arm 7") {
+			t.Fatalf("run %d: error %q does not name the first problem %q", i, ce.Error(), "open arm 7")
 		}
 		if first == "" {
 			first = ce.Error()
@@ -621,6 +627,22 @@ func TestSlabValidateDeterministicColumn(t *testing.T) {
 			t.Fatalf("run %d: error %q differs from first run %q", i, ce.Error(), first)
 		}
 	}
+}
+
+// editAgentRecord decodes an agent record's snapshot, applies edit, and
+// re-encodes it in place.
+func editAgentRecord(t *testing.T, ck *sessionCheckpoint, edit func(a *core.AgentSnapshot)) {
+	t.Helper()
+	var a core.AgentSnapshot
+	if err := json.Unmarshal(ck.Agent, &a); err != nil {
+		t.Fatalf("unmarshal agent: %v", err)
+	}
+	edit(&a)
+	data, err := json.Marshal(&a)
+	if err != nil {
+		t.Fatalf("marshal agent: %v", err)
+	}
+	ck.Agent = data
 }
 
 // TestSignatureFromVectorEdgeValues pins the wire-vector validation

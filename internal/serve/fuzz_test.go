@@ -84,12 +84,19 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add([]byte(`{"v":2,"next_id":0,"sessions":[]}`))
-	f.Add([]byte(`{"v":2}`))
+	f.Add([]byte(`{"v":3,"next_id":0,"sessions":[]}`))
+	f.Add([]byte(`{"v":3}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add(good[:len(good)/3])
-	f.Add([]byte(`{"v":2,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1,"arms":2}}]}`))
+	f.Add([]byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1,"arms":2}}]}`))
+	// A version-2 file (column slab groups) is refused, not half-read.
+	v2 := []byte(`{"v":2,"next_id":1,"sessions":[],"slabs":[{"algo":"ducb","arms":2,"ids":["s-1"]}]}`)
+	var ce *CheckpointError
+	if _, err := RestoreCheckpoint(v2, 2); !errors.As(err, &ce) || !strings.Contains(ce.Error(), "version 2") {
+		f.Fatalf("v2 seed: err = %v, want *CheckpointError naming version 2", err)
+	}
+	f.Add(v2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := RestoreCheckpoint(data, 2)

@@ -16,10 +16,9 @@ var update = flag.Bool("update", false, "rewrite the golden checkpoint in testda
 // goldenStore.
 var goldenCheckpointPath = filepath.Join("testdata", "checkpoint_golden.json")
 
-// goldenSpecs is the session script behind the golden checkpoint. The
-// first six land in slab groups (ducb, ucb and eps at two arm counts);
-// the rest fall back to per-session records: a meta agent, a fixed arm,
-// contextual agents, and a fault-armed mode-stateful agent.
+// goldenSpecs is the session script behind the golden checkpoint: slab
+// agents (ducb, ucb and eps at two arm counts), a meta agent, a fixed
+// arm, contextual agents, and a fault-armed mode-stateful agent.
 func goldenSpecs() []Spec {
 	return []Spec{
 		{Algo: "ducb", Arms: 4, Seed: 1},

@@ -126,9 +126,10 @@ func (sp Spec) Validate() error {
 }
 
 // buildController constructs the spec's controller. The first return is
-// the snapshotable agent (a *core.Agent, *core.MetaAgent, or
-// core.FixedArm); the second is the controller the request path drives,
-// which wraps the agent with the spec's fault set when one is armed.
+// the snapshotable agent (a *core.Agent, *core.Selector,
+// *core.ContextualAgent, or core.FixedArm); the second is the controller
+// the request path drives, which wraps the agent with the spec's fault
+// set when one is armed.
 //
 // alloc places plain agents: the store passes its shard-slab allocator
 // so agent sessions land in contiguous struct-of-arrays storage, while
@@ -193,7 +194,7 @@ type Session struct {
 
 	id    string
 	spec  Spec
-	agent core.Controller // snapshotable: *core.Agent, *core.MetaAgent, or core.FixedArm
+	agent core.Controller // snapshotable: *core.Agent, *core.Selector, *core.ContextualAgent, or core.FixedArm
 	drive core.Controller // agent, behind the spec's fault wrapper when armed
 
 	// Slab placement. Plain-agent sessions live in their shard's
@@ -251,8 +252,8 @@ func (s *Session) Info() (SessionInfo, error) {
 	case *core.Agent:
 		info.BestArm = a.BestArm()
 		info.Restarts = a.Restarts()
-	case *core.MetaAgent:
-		info.BestArm = a.BestLevel()
+	case *core.Selector:
+		info.BestArm = a.BestArm()
 	case *core.ContextualAgent:
 		info.BestArm = a.BestArm()
 		info.Contexts = a.Contexts()

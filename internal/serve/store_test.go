@@ -245,6 +245,43 @@ func TestMetaSessionServes(t *testing.T) {
 	}
 }
 
+// TestMetaSessionBestArm: a meta session's best_arm is a hardware arm —
+// the best arm of the candidate the high-level bandit rates best — and
+// agrees with a plain DUCB session under the same loop, not a candidate
+// index.
+func TestMetaSessionBestArm(t *testing.T) {
+	st := NewStore(1)
+	for _, sp := range []Spec{
+		{Arms: 8, MetaPairs: [][2]float64{{0.04, 0.999}, {0.01, 0.975}}},
+		{Algo: "ducb", Arms: 8},
+	} {
+		s, err := st.Create(sp)
+		if err != nil {
+			t.Fatalf("Create(%+v): %v", sp, err)
+		}
+		for i := 0; i < 2000; i++ {
+			seq, arm, err := s.Step()
+			if err != nil {
+				t.Fatalf("Step %d: %v", i, err)
+			}
+			r := 0.0
+			if arm == 5 {
+				r = 1
+			}
+			if _, err := s.Reward(seq, r); err != nil {
+				t.Fatalf("Reward %d: %v", i, err)
+			}
+		}
+		info, err := s.Info()
+		if err != nil {
+			t.Fatalf("Info: %v", err)
+		}
+		if info.BestArm != 5 {
+			t.Fatalf("%+v: best_arm = %d, want 5", sp, info.BestArm)
+		}
+	}
+}
+
 func TestSessionIDsAreDense(t *testing.T) {
 	st := NewStore(4)
 	for i := 1; i <= 3; i++ {
