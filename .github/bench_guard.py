@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Simulator-throughput regression guard over the benchmark's results.
+"""Simulator-throughput and footprint regression guard over the benchmark's results.
 
     python3 .github/bench_guard.py BENCH_bench.json bench-ci.json
 
@@ -8,11 +8,20 @@ The first file is a `bash bench/run.sh --repeat N --out ...` recording
 `bash bench/run.sh --seed 1 --out ...` run of all workloads. The guard
 takes, for each pf-* workload, the run's `work_per_s` over the
 recording's median, and exits 1 when the geometric mean of those ratios
-falls below FLOOR. Absolute throughput is not comparable across machine
-classes, so when this host's CPU count differs from the recording's
-`hardware.nproc` the guard prints a notice and exits 0 without judging.
-The count is the process's usable CPUs, which is what Go's
-runtime.NumCPU reports and what GOMAXPROCS does not change.
+falls below FLOOR. It also exits 1 when report-table8's `peak_rss_mb`
+exceeds the recording's median by more than the metric's bound in
+BENCHMARK.json: that workload reads every trace once, so a chunk cache
+that stores single-use traces shows up there as hundreds of MB. The Go
+runtime's own footprint grows with GOMAXPROCS (report-table8 peaks near
+15 MB at 2 and 17-19 MB at 4 on a 2-CPU host), and the recording runs at
+the default of one P per CPU, so the footprint is judged only when the
+GOMAXPROCS environment variable, which the run and the guard share, is
+unset or equals the recording's `hardware.nproc`.
+Absolute numbers are not comparable across machine classes, so when
+this host's CPU count differs from the recording's `hardware.nproc` the
+guard prints a notice and exits 0 without judging. The count is the
+process's usable CPUs, which is what Go's runtime.NumCPU reports and
+what GOMAXPROCS does not change.
 """
 
 import json
@@ -22,12 +31,20 @@ import sys
 
 FLOOR = 0.9
 WORKLOADS = ("pf-stream", "pf-chase", "pf-compute")
+RSS_WORKLOAD = "report-table8"
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json")
 
 
 def cpu_count():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count()
+
+
+def rss_bound():
+    with open(BENCHMARK) as f:
+        spec = json.load(f)
+    return next(m["bound"] for m in spec["end_to_end"] if m["name"] == "peak_rss_mb")
 
 
 def main(argv):
@@ -51,12 +68,29 @@ def main(argv):
         ratios.append(got / want)
         print(f"bench guard: {w} work_per_s {got:.4g} vs median {want:.4g} ({got / want:.3f}x)")
     gmean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-    if gmean < FLOOR:
-        print(f"bench guard: gmean {gmean:.3f}x vs {argv[1]} is below the {FLOOR:.2f}x floor", file=sys.stderr)
-        return 1
-    print(f"bench guard: ok (gmean {gmean:.3f}x >= {FLOOR:.2f}x floor)")
-    return 0
 
+    failed = gmean < FLOOR
+    if failed:
+        print(f"bench guard: gmean {gmean:.3f}x vs {argv[1]} is below the {FLOOR:.2f}x floor", file=sys.stderr)
+    else:
+        print(f"bench guard: gmean {gmean:.3f}x >= {FLOOR:.2f}x floor")
+
+    got = run[RSS_WORKLOAD]["metrics"]["peak_rss_mb"]["value"]
+    procs = int(os.environ.get("GOMAXPROCS") or nproc)
+    if procs != nproc:
+        print(f"bench guard: {RSS_WORKLOAD} peak_rss_mb {got:.1f} not judged (run at GOMAXPROCS={procs}, recording at {nproc})")
+    else:
+        ceiling = (1 + rss_bound()) * base["metrics"][RSS_WORKLOAD]["peak_rss_mb"]["median"]
+        if got > ceiling:
+            print(f"bench guard: {RSS_WORKLOAD} peak_rss_mb {got:.1f} vs {argv[1]} is above the {ceiling:.1f} MB ceiling", file=sys.stderr)
+            failed = True
+        else:
+            print(f"bench guard: {RSS_WORKLOAD} peak_rss_mb {got:.1f} <= {ceiling:.1f} MB ceiling")
+
+    if failed:
+        return 1
+    print("bench guard: ok")
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv))

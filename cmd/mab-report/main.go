@@ -59,7 +59,7 @@ func main() {
 	scenarios := flag.Bool("scenarios", false, "run the cross-scenario reusability experiment (one bandit, every decision problem)")
 	scenarioNames := flag.String("scenario", "", "with -scenarios: comma-separated scenario names to run ("+strings.Join(scenario.Names(), ", ")+")")
 	faultSpec := flag.String("faults", "", "with -robust: custom sweep as comma-separated kind:intensity[:seed] ("+strings.Join(fault.KindNames(), ", ")+")")
-	noChunkCache := flag.Bool("no-chunk-cache", false, "disable the shared trace chunk cache for experiment runs (outputs are byte-identical either way; this only trades speed for memory)")
+	noChunkCache := flag.Bool("no-chunk-cache", false, "disable the shared trace chunk cache for experiment runs (outputs are byte-identical either way; the cache stores a trace only once a second run reads it)")
 	telemetry := flag.String("telemetry", "", "with -robust: write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
 	telemetryEvery := flag.Int("telemetry-every", 100, "telemetry snapshot/interval cadence in bandit steps")
 	pprofDir := flag.String("pprof", "", "capture cpu.pprof, heap.pprof, and runtime metrics into this directory")
@@ -126,11 +126,12 @@ func main() {
 	// the capture flushes (os.Exit skips defers).
 	profStop = startProfiling(*pprofDir)
 
-	// Experiment runs share one trace chunk cache: sweeps replay the same
-	// (app, seed) trace across many agent configurations, and a memoized
-	// slab turns every repeat into a memcpy. Rendered text and CSV are
-	// byte-identical with the cache on or off (pinned by
-	// TestChunkCacheInvariant), so this is on by default.
+	// Experiment runs share one trace chunk cache. A trace is stored
+	// only once a second run opens its (app, seed) key, and later runs
+	// replay it with a memcpy; traces read once (all of Table 8) cost no
+	// memory. Rendered text and CSV are byte-identical with the cache on
+	// or off (pinned by TestChunkCacheInvariant), so this is on by
+	// default.
 	if !*noChunkCache {
 		o.ChunkCache = trace.NewChunkCache(0)
 	}

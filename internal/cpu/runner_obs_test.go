@@ -36,19 +36,23 @@ func runWithObs(t *testing.T, gen trace.Generator, simCounters bool) []obs.Event
 
 // TestObsSimCounterFields pins the opt-in simulator-effectiveness
 // telemetry: with ObsSimCounters set, every interval carries
-// chunk_hit_rate and ff_coverage; a cache-backed warm source reports a
-// full hit rate; and with the flag clear the fields are absent, so
-// recorded streams stay byte-identical with pre-flag builds.
+// chunk_hit_rate and ff_coverage; a cache-backed warm source (the third
+// on its key) reports a full hit rate; and with the flag clear the
+// fields are absent, so recorded streams stay byte-identical with
+// pre-flag builds.
 func TestObsSimCounterFields(t *testing.T) {
 	app, err := trace.ByName("lbm17")
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The first source on a key stores nothing, the second populates the
+	// cache and the third replays it.
 	cc := trace.NewChunkCache(0)
 	cold := runWithObs(t, cc.Source("lbm17:1", app.New(1)), true)
+	populate := runWithObs(t, cc.Source("lbm17:1", app.New(1)), true)
 	warm := runWithObs(t, cc.Source("lbm17:1", app.New(1)), true)
-	for name, intervals := range map[string][]obs.Event{"cold": cold, "warm": warm} {
+	for name, intervals := range map[string][]obs.Event{"cold": cold, "populate": populate, "warm": warm} {
 		sawFF := false
 		for _, e := range intervals {
 			hr, ok := e.Fields.Get(obs.FieldChunkHitRate)

@@ -84,11 +84,12 @@ type Options struct {
 	Ctx context.Context
 
 	// ChunkCache, when non-nil, is shared across the experiment's runs:
-	// trace-generator output is memoized at chunk granularity, so sweep
-	// points simulating the same (generator, seed) trace replay stored
-	// slabs instead of regenerating them. Replay is bit-identical and
-	// correctness never depends on residency, so every output is
-	// byte-identical with and without the cache.
+	// trace-generator output is memoized at chunk granularity, so runs
+	// simulating the same (generator, seed) trace replay stored slabs
+	// instead of regenerating them. A key is stored only once a second
+	// run opens it, so traces read once cost no memory. Replay is
+	// bit-identical and correctness never depends on residency, so every
+	// output is byte-identical with and without the cache.
 	ChunkCache *trace.ChunkCache
 
 	// SimCounters, when non-nil, accumulates simulator-effectiveness

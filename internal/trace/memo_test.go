@@ -17,8 +17,9 @@ func memoApp(t *testing.T, seed uint64) Generator {
 }
 
 // TestChunkCacheEquivalence pins the memoized stream against the plain
-// one, cold (populating) and warm (replaying), through both the chunked
-// and scalar read paths.
+// one through every stage of a key's life — cold (first reader, stores
+// nothing), populate (second reader, stores), warm (replays) — and
+// through both the chunked and scalar read paths.
 func TestChunkCacheEquivalence(t *testing.T) {
 	const n = 3*ChunkLen + 100
 	want := CollectN(memoApp(t, 5), n)
@@ -27,6 +28,16 @@ func TestChunkCacheEquivalence(t *testing.T) {
 	cold := collectChunked(SourceOf(cc.Source("mcf17:5", memoApp(t, 5))), n, ChunkLen)
 	if i := diffStreams(want, cold); i >= 0 {
 		t.Fatalf("cold run diverges at %d", i)
+	}
+	if used := cc.BytesUsed(); used != 0 {
+		t.Fatalf("first reader stored %d bytes, want 0", used)
+	}
+	populate := collectChunked(SourceOf(cc.Source("mcf17:5", memoApp(t, 5))), n, ChunkLen)
+	if i := diffStreams(want, populate); i >= 0 {
+		t.Fatalf("populating run diverges at %d", i)
+	}
+	if used := cc.BytesUsed(); used == 0 {
+		t.Fatal("second reader stored nothing")
 	}
 	warm := collectChunked(SourceOf(cc.Source("mcf17:5", memoApp(t, 5))), n, ChunkLen)
 	if i := diffStreams(want, warm); i >= 0 {
@@ -38,18 +49,89 @@ func TestChunkCacheEquivalence(t *testing.T) {
 	}
 
 	hits, misses := cc.Stats()
-	// Cold run misses all 4 chunks (three full + the 100-instruction
-	// tail). The warm run requests the same sizes and hits all 4. The
-	// scalar replay reads full slabs only, so its final slab's size
-	// mismatches the stored 100-instruction tail: 3 hits, 1 miss.
-	if misses != 5 {
-		t.Fatalf("misses = %d, want 5", misses)
+	// The cold and populating runs each miss all 4 chunks (three full +
+	// the 100-instruction tail). The warm run requests the same sizes and
+	// hits all 4. The scalar replay reads full slabs only, so its final
+	// slab's size mismatches the stored 100-instruction tail: 3 hits,
+	// 1 miss.
+	if misses != 9 {
+		t.Fatalf("misses = %d, want 9", misses)
 	}
 	if hits != 7 {
 		t.Fatalf("hits = %d, want 7", hits)
 	}
-	if hr := cc.HitRate(); hr < 0.58 || hr > 0.59 {
-		t.Fatalf("hit rate = %v, want 7/12", hr)
+	if hr := cc.HitRate(); hr != 7.0/16 {
+		t.Fatalf("hit rate = %v, want 7/16", hr)
+	}
+}
+
+// TestChunkCacheSingleReaderStoresNothing pins admission on reuse: a key
+// read by one source copies no chunk into the cache, and that source's
+// steady-state live path allocates nothing.
+func TestChunkCacheSingleReaderStoresNothing(t *testing.T) {
+	cc := NewChunkCache(0)
+	src := SourceOf(cc.Source("mcf17:5", memoApp(t, 5)))
+	var c Chunk
+	for i := 0; i < 8; i++ {
+		c.Reset(ChunkLen)
+		src.NextChunk(&c)
+	}
+	allocs := testing.AllocsPerRun(8, func() {
+		c.Reset(ChunkLen)
+		src.NextChunk(&c)
+	})
+	if allocs != 0 {
+		t.Fatalf("single-reader NextChunk allocates %.1f per run, want 0", allocs)
+	}
+	if used := cc.BytesUsed(); used != 0 {
+		t.Fatalf("single reader stored %d bytes, want 0", used)
+	}
+	// 8 warm-up reads, then AllocsPerRun's warm-up call and its 8 runs.
+	if hits, misses := cc.Stats(); hits != 0 || misses != 17 {
+		t.Fatalf("stats = %d hits, %d misses; want 0, 17", hits, misses)
+	}
+}
+
+// TestChunkCacheConcurrentOpen pins admission when two sources are
+// opened on one key before either reads: the later one stores, the
+// earlier one does not, both streams stay bit-identical, and the cache
+// holds at most one copy of the trace.
+func TestChunkCacheConcurrentOpen(t *testing.T) {
+	const n = 6 * ChunkLen
+	want := CollectN(memoApp(t, 5), n)
+
+	// One trace's worth: what a sequential second reader stores.
+	ref := NewChunkCache(0)
+	for run := 0; run < 2; run++ {
+		collectChunked(SourceOf(ref.Source("mcf17:5", memoApp(t, 5))), n, ChunkLen)
+	}
+	oneTrace := ref.BytesUsed()
+	if oneTrace == 0 {
+		t.Fatal("sequential second reader stored nothing")
+	}
+
+	cc := NewChunkCache(0)
+	srcs := []ChunkSource{
+		SourceOf(cc.Source("mcf17:5", memoApp(t, 5))),
+		SourceOf(cc.Source("mcf17:5", memoApp(t, 5))),
+	}
+	got := make([][]Inst, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = collectChunked(src, n, ChunkLen)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if d := diffStreams(want, got[i]); d >= 0 {
+			t.Fatalf("source %d diverges at %d", i, d)
+		}
+	}
+	if used := cc.BytesUsed(); used == 0 || used > oneTrace {
+		t.Fatalf("cache holds %d bytes, want (0, %d]", used, oneTrace)
 	}
 }
 
@@ -124,9 +206,10 @@ func TestChunkCacheConcurrent(t *testing.T) {
 func TestChunkCacheHitZeroAlloc(t *testing.T) {
 	cc := NewChunkCache(0)
 	const resident = 30
-	// Populate, then warm a slab through every resident chunk so its Mem
-	// capacity reaches the entry's high-water mark.
-	collectChunked(SourceOf(cc.Source("mcf17:5", memoApp(t, 5))), resident*ChunkLen, ChunkLen)
+	// Open the key once so the next reader stores, then populate while
+	// warming a slab through every resident chunk so its Mem capacity
+	// reaches the entry's high-water mark.
+	cc.Source("mcf17:5", memoApp(t, 5))
 	var c Chunk
 	warm := SourceOf(cc.Source("mcf17:5", memoApp(t, 5)))
 	for i := 0; i < resident; i++ {
