@@ -27,6 +27,7 @@ import (
 	"strings"
 	"syscall"
 
+	"microbandit/internal/harness"
 	"microbandit/internal/obs"
 	"microbandit/internal/par"
 	"microbandit/internal/simsmt"
@@ -36,14 +37,9 @@ import (
 
 // runConfig carries the per-run flag values into the worker pool.
 type runConfig struct {
-	ctrlName   string
-	cycles     int64
-	epoch      int64
-	rrEpochs   int
-	mainEpochs int
-	seed       uint64
-	showTrace  bool
-	obsEvery   int
+	ctrlName  string
+	seed      uint64
+	showTrace bool
 }
 
 func main() {
@@ -91,7 +87,7 @@ func main() {
 	if *telemetryEvery <= 0 {
 		usageErr(fmt.Errorf("-telemetry-every must be positive, got %d", *telemetryEvery))
 	}
-	if err := validateCtrl(*ctrlName); err != nil {
+	if _, err := harness.SMTCtrl(*ctrlName, *seed); err != nil {
 		usageErr(err)
 	}
 
@@ -113,11 +109,7 @@ func main() {
 		mixes = append(mixes, smtwork.Mix{A: a, B: b})
 	}
 
-	cfg := runConfig{
-		ctrlName: *ctrlName, cycles: *cycles, epoch: *epoch,
-		rrEpochs: *rrEpochs, mainEpochs: *mainEpochs,
-		seed: *seed, showTrace: *showTrace, obsEvery: *telemetryEvery,
-	}
+	cfg := runConfig{ctrlName: *ctrlName, seed: *seed, showTrace: *showTrace}
 	// Telemetry slots are claimed by mix index, so the assembled stream
 	// is byte-identical at every -j value.
 	var collector *obs.Collector
@@ -129,6 +121,8 @@ func main() {
 	// that did finish still prints (plus telemetry) below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	opts := harness.Options{SMTCycles: *cycles, EpochLen: *epoch, RREpochs: *rrEpochs,
+		MainEpochs: *mainEpochs, Ctx: ctx, Obs: collector}
 	// Each mix is an independent simulation with its own state and seed;
 	// reports come back in input order regardless of worker count. A
 	// failing or panicking run becomes a per-job error; the siblings'
@@ -141,12 +135,12 @@ func main() {
 	for i, mix := range mixes {
 		jobs[i] = jobIn{i, mix}
 	}
-	reports, errs := par.RunCtx(ctx, *workers, jobs, func(ctx context.Context, j jobIn) (string, error) {
+	reports, errs := par.RunCtx(ctx, *workers, jobs, func(_ context.Context, j jobIn) (string, error) {
 		var rec obs.Recorder
 		if collector != nil {
 			rec = collector.Slot(j.i, j.mix.Name())
 		}
-		return simulate(ctx, j.mix, cfg, rec)
+		return simulate(opts, j.mix, cfg, rec), nil
 	})
 	failed := 0
 	for i, report := range reports {
@@ -178,65 +172,22 @@ func main() {
 	}
 }
 
-// validateCtrl checks the -ctrl flag before fan-out.
-func validateCtrl(name string) error {
-	switch {
-	case name == "bandit", name == "choi", name == "icount":
-		return nil
-	case strings.HasPrefix(name, "policy:"):
-		_, err := simsmt.ParsePolicy(strings.TrimPrefix(name, "policy:"))
-		return err
-	default:
-		return fmt.Errorf("unknown controller %q (valid: bandit, choi, icount, policy:<mnemonic>)", name)
-	}
-}
-
-// simulate runs one mix and returns its formatted report. rec, when
-// non-nil, receives the run's telemetry stream. If ctx is canceled
-// mid-run the simulation stops at the next epoch boundary and the
-// report covers the cycles that did run, flagged as partial.
-func simulate(ctx context.Context, mix smtwork.Mix, cfg runConfig, rec obs.Recorder) (string, error) {
-	sim := simsmt.NewSim(mix.A, mix.B, cfg.seed)
-	var runner *simsmt.Runner
-	switch {
-	case cfg.ctrlName == "bandit":
-		agent := simsmt.NewBanditAgent(cfg.seed)
-		obs.Attach(agent, rec, cfg.obsEvery)
-		runner = simsmt.NewRunner(sim, agent, simsmt.Table1Arms(), true)
-	case cfg.ctrlName == "choi":
-		runner = simsmt.NewFixedRunner(sim, simsmt.ChoiPolicy, true)
-	case cfg.ctrlName == "icount":
-		runner = simsmt.NewFixedRunner(sim, simsmt.ICountPolicy, false)
-	case strings.HasPrefix(cfg.ctrlName, "policy:"):
-		p, err := simsmt.ParsePolicy(strings.TrimPrefix(cfg.ctrlName, "policy:"))
-		if err != nil {
-			return "", err
-		}
-		runner = simsmt.NewFixedRunner(sim, p, true)
-	default:
-		return "", fmt.Errorf("unknown controller %q", cfg.ctrlName)
-	}
-	runner.EpochLen = cfg.epoch
-	runner.RREpochs = cfg.rrEpochs
-	runner.MainEpochs = cfg.mainEpochs
-	if cfg.showTrace {
-		runner.RecordArms()
-	}
-	if rec != nil {
-		runner.Obs = rec
-		runner.ObsEvery = cfg.obsEvery
-	}
-	interrupted := runner.RunCyclesCtx(ctx, cfg.cycles) != nil
-	if rec != nil {
-		rec.Record(obs.Event{Kind: obs.KindRunEnd, Cycle: sim.Cycle(),
-			Fields: obs.NewFields().Set(obs.FieldSumIPC, sim.SumIPC())})
-	}
+// simulate runs one mix through harness.SimSMT and returns its
+// formatted report. rec, when non-nil, receives the run's telemetry
+// stream. If o.Ctx is canceled mid-run the simulation stops at the next
+// epoch boundary and the report covers the cycles that did run, flagged
+// as partial.
+func simulate(o harness.Options, mix smtwork.Mix, cfg runConfig, rec obs.Recorder) string {
+	s, _ := harness.SMTCtrl(cfg.ctrlName, cfg.seed) // validated before fan-out
+	s.Mix, s.Seed, s.RecordArms, s.Rec = mix, cfg.seed, cfg.showTrace, rec
+	runner := o.SimSMT(s)
+	sim := runner.Sim
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "mix=%s ctrl=%s cycles=%d policy=%s\n",
 		mix.Name(), cfg.ctrlName, sim.Cycle(), sim.Policy())
-	if interrupted {
-		fmt.Fprintf(&b, "INTERRUPTED after %d of %d cycles; statistics are partial\n", sim.Cycle(), cfg.cycles)
+	if o.Ctx.Err() != nil {
+		fmt.Fprintf(&b, "INTERRUPTED after %d of %d cycles; statistics are partial\n", sim.Cycle(), o.SMTCycles)
 	}
 	fmt.Fprintf(&b, "thread0 (%s): %d uops   thread1 (%s): %d uops\n",
 		mix.A.Name, sim.Committed(0), mix.B.Name, sim.Committed(1))
@@ -259,7 +210,7 @@ func simulate(ctx context.Context, mix smtwork.Mix, cfg runConfig, rec obs.Recor
 			fmt.Fprintf(&b, "  arm %d = %s\n", i, p)
 		}
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // profileNames returns the valid mix components for error messages.

@@ -42,19 +42,26 @@ func ContextualBase(name string) (string, bool) {
 // share one registry with ParseAlgo. Names that denote a non-agent
 // controller ("static:N") and unknown names return an error.
 func AlgoConfig(name string, arms int, seed uint64, recordTrace bool) (Config, error) {
+	return AlgoConfigAt(name, arms, seed, PrefetchC, PrefetchGamma, recordTrace)
+}
+
+// AlgoConfigAt is AlgoConfig at another use case's Table 6 pair: the
+// exploration constant c and the DUCB forgetting factor gamma (SMTC and
+// SMTGamma for SMT fetch PG selection).
+func AlgoConfigAt(name string, arms int, seed uint64, c, gamma float64, recordTrace bool) (Config, error) {
 	var policy Policy
 	switch name {
 	case "ducb":
-		policy = NewDUCB(PrefetchC, PrefetchGamma)
+		policy = NewDUCB(c, gamma)
 	case "ucb":
-		policy = NewUCB(PrefetchC)
+		policy = NewUCB(c)
 	case "eps":
 		policy = NewEpsilonGreedy(0.05)
 	case "thompson":
 		// Discounted like DUCB, with the exploration constant standing in
 		// for the posterior noise scale, so the two are comparable under
 		// the same non-stationarity.
-		policy = NewDiscountedThompson(PrefetchC, PrefetchGamma)
+		policy = NewDiscountedThompson(c, gamma)
 	case "single":
 		policy = NewSingle()
 	case "periodic":

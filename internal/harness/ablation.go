@@ -173,15 +173,10 @@ func AblationStepRR(o Options) AblationResult {
 	}
 	ipcs := runJobs(o, jobs, func(j job) float64 {
 		mix := mixes[j.mixIdx]
-		rrEpochs := rrs[j.rrIdx]
-		seed := o.subSeed("abl-step", mix.Name(), fmt.Sprint(rrEpochs))
-		sim := simsmt.NewSim(mix.A, mix.B, seed)
-		r := simsmt.NewRunner(sim, simsmt.NewBanditAgent(seed), simsmt.Table1Arms(), true)
-		r.EpochLen = o.EpochLen
-		r.RREpochs = rrEpochs
-		r.MainEpochs = o.MainEpochs
-		o.simCycles(r)
-		return sim.SumIPC()
+		ob := o
+		ob.RREpochs = rrs[j.rrIdx]
+		seed := o.subSeed("abl-step", mix.Name(), fmt.Sprint(ob.RREpochs))
+		return ob.SimSMT(SMTSpec{Mix: mix, Seed: seed, Ctrl: simsmt.NewBanditAgent(seed)}).Sim.SumIPC()
 	})
 
 	rows := make([]AblationRow, 0, len(rrs))

@@ -110,14 +110,10 @@ func Extras(o Options) ExtrasResult {
 	mixes := o.mixes(smtwork.TuneMixes())
 	smtRuns := runJobs(o, mixes, func(mix smtwork.Mix) [3]float64 {
 		seed := o.subSeed("extras-arpa", mix.Name())
-		simA := simsmt.NewSim(mix.A, mix.B, seed)
-		ra := simsmt.NewARPARunner(simA, simsmt.ChoiPolicy)
-		ra.EpochLen = o.EpochLen
-		o.simCycles(ra)
 		return [3]float64{
-			simA.SumIPC(),
-			o.runSMTFixed(mix, "choi", simsmt.ChoiPolicy, true).SumIPC,
-			o.runSMTCtrl(mix, "bandit", simsmt.NewBanditAgent(seed)).SumIPC,
+			o.SimSMT(SMTSpec{Mix: mix, Seed: seed, Policy: simsmt.ChoiPolicy, ARPA: true}).Sim.SumIPC(),
+			o.simSMTNamed(mix, "choi", 0).Sim.SumIPC(),
+			o.simSMTNamed(mix, "bandit", seed).Sim.SumIPC(),
 		}
 	})
 	arpa := make([]float64, 0, len(mixes))

@@ -73,7 +73,7 @@ type Options struct {
 	// Collector slot matching its job index, so the assembled event
 	// stream is byte-identical at every Workers count. The Collector's
 	// Every field sets the snapshot/interval cadence in bandit steps of
-	// every SimPrefetch run that records.
+	// every SimPrefetch or SimSMT run that records.
 	Obs *obs.Collector
 
 	// Ctx, when non-nil, cancels the experiment engine cooperatively:
@@ -170,16 +170,6 @@ func (o Options) runMultiCore(runners []*cpu.Runner, instsPerCore int64) float64
 	}
 	return cpu.SumIPC(runners)
 }
-
-// cycleRunner is any SMT-side runner with cancellable cycle driving
-// (simsmt.Runner, simsmt.ARPARunner).
-type cycleRunner interface {
-	RunCyclesCtx(ctx context.Context, n int64) error
-}
-
-// simCycles drives one SMT runner for the option's cycle budget under
-// the engine context.
-func (o Options) simCycles(r cycleRunner) { _ = r.RunCyclesCtx(o.ctx(), o.SMTCycles) }
 
 // workers resolves the pool size for runJobs.
 func (o Options) workers() int {
@@ -486,63 +476,123 @@ func (o Options) runPrefetchCtrl(app trace.App, name string, ctrl core.Controlle
 // ---------------------------------------------------------------------
 // SMT machinery
 
-// SMTRun is one (mix, configuration) measurement.
-type SMTRun struct {
-	Mix    string
-	Kind   string
-	SumIPC float64
-	Rename simsmt.RenameStats
+// SMTSpec is what differs between 2-thread SMT simulations;
+// Options.SimSMT does the rest of the wiring.
+type SMTSpec struct {
+	// Mix is the thread pair and Seed its trace seed.
+	Mix  smtwork.Mix
+	Seed uint64
+	// Ctrl, when non-nil, selects a Table 1 arm every bandit step over
+	// Hill Climbing. Without it the run keeps Policy, with Hill Climbing
+	// when HillClimb is set or with ARPA repartitioning when ARPA is.
+	Ctrl            core.Controller
+	Policy          simsmt.Policy
+	HillClimb, ARPA bool
+	// Reward selects the bandit's reward metric (§6.4); Solo holds the
+	// threads' single-threaded IPCs the weighted metrics need.
+	Reward simsmt.RewardMode
+	Solo   [2]float64
+	// RecordArms enables the runner's exploration trace.
+	RecordArms bool
+	// Rec, when non-nil, receives the run's telemetry at the cadence of
+	// Options.Obs, which must then be set.
+	Rec obs.Recorder
 }
 
-// runSMTFixed simulates a mix under a fixed policy (+ Hill Climbing).
-func (o Options) runSMTFixed(mix smtwork.Mix, kind string, policy simsmt.Policy, hc bool) SMTRun {
-	seed := o.subSeed("smt", mix.Name(), kind)
-	sim := simsmt.NewSim(mix.A, mix.B, seed)
-	r := simsmt.NewFixedRunner(sim, policy, hc)
-	r.EpochLen = o.EpochLen
-	o.simCycles(r)
-	return SMTRun{Mix: mix.Name(), Kind: kind, SumIPC: sim.SumIPC(), Rename: sim.RenameStats()}
+// SimSMT builds, wires and runs one 2-thread SMT simulation for
+// o.SMTCycles cycles, with the epoch lengths of o, and returns its
+// runner (Sim, ArmTrace). Once o.Ctx is done the run stops at its next
+// epoch boundary; its statistics stay valid for the cycles that did run.
+// With a recorder, telemetry attaches to s.Ctrl and the runner, and a
+// KindRunEnd with the run's sum-IPC closes the run's events.
+func (o Options) SimSMT(s SMTSpec) *simsmt.Runner {
+	sim := simsmt.NewSim(s.Mix.A, s.Mix.B, s.Seed)
+	var r *simsmt.Runner
+	switch {
+	case s.Ctrl != nil:
+		r = simsmt.NewRunner(sim, s.Ctrl, simsmt.Table1Arms(), true)
+	case s.ARPA:
+		r = simsmt.NewARPARunner(sim, s.Policy)
+	default:
+		r = simsmt.NewFixedRunner(sim, s.Policy, s.HillClimb)
+	}
+	r.EpochLen, r.RREpochs, r.MainEpochs = o.EpochLen, o.RREpochs, o.MainEpochs
+	r.Reward, r.Solo = s.Reward, s.Solo
+	if s.RecordArms {
+		r.RecordArms()
+	}
+	if s.Rec != nil {
+		obs.Attach(s.Ctrl, s.Rec, o.Obs.Every)
+		r.Obs, r.ObsEvery = s.Rec, o.Obs.Every
+	}
+	// A cancelled run's partial statistics are its result (Options.Ctx).
+	_ = r.RunCyclesCtx(o.ctx(), o.SMTCycles)
+	if s.Rec != nil {
+		s.Rec.Record(obs.Event{Kind: obs.KindRunEnd, Cycle: sim.Cycle(),
+			Fields: obs.NewFields().Set(obs.FieldSumIPC, sim.SumIPC())})
+	}
+	return r
 }
 
-// runSMTCtrl simulates a mix with a controller over the Table 1 arms.
-func (o Options) runSMTCtrl(mix smtwork.Mix, kind string, ctrl core.Controller) SMTRun {
-	seed := o.subSeed("smtctrl", mix.Name(), kind)
-	sim := simsmt.NewSim(mix.A, mix.B, seed)
-	r := simsmt.NewRunner(sim, ctrl, simsmt.Table1Arms(), true)
-	r.EpochLen = o.EpochLen
-	r.RREpochs = o.RREpochs
-	r.MainEpochs = o.MainEpochs
-	o.simCycles(r)
-	return SMTRun{Mix: mix.Name(), Kind: kind, SumIPC: sim.SumIPC(), Rename: sim.RenameStats()}
+// SMTCtrl resolves an SMT controller name into the runner kind of an
+// SMTSpec: "bandit" is the paper's DUCB agent (simsmt.NewBanditAgent)
+// seeded with seed, "choi" Choi's policy with Hill Climbing, "icount"
+// ICount without it, and "policy:<mnemonic>" any fetch PG policy with
+// Hill Climbing. Other names return an error listing the valid forms.
+func SMTCtrl(name string, seed uint64) (SMTSpec, error) {
+	switch {
+	case name == "bandit":
+		return SMTSpec{Ctrl: simsmt.NewBanditAgent(seed)}, nil
+	case name == "choi":
+		return SMTSpec{Policy: simsmt.ChoiPolicy, HillClimb: true}, nil
+	case name == "icount":
+		return SMTSpec{Policy: simsmt.ICountPolicy}, nil
+	case strings.HasPrefix(name, "policy:"):
+		p, err := simsmt.ParsePolicy(strings.TrimPrefix(name, "policy:"))
+		return SMTSpec{Policy: p, HillClimb: true}, err
+	}
+	return SMTSpec{}, fmt.Errorf("unknown controller %q (valid: bandit, choi, icount, policy:<mnemonic>)", name)
 }
 
-// banditAlgoOrder lists the banditAlgorithms keys in the papers' column
-// order; parallel runners iterate this instead of the map so job lists
-// are deterministic.
+// simSMTNamed runs mix under a named controller (SMTCtrl) whose agent, if
+// any, is seeded with agentSeed. The trace seed keys on the name, under
+// "smt" for fixed-policy runs and "smtctrl" for controller runs.
+func (o Options) simSMTNamed(mix smtwork.Mix, name string, agentSeed uint64) *simsmt.Runner {
+	s, err := SMTCtrl(name, agentSeed)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	prefix := "smt"
+	if s.Ctrl != nil {
+		prefix = "smtctrl"
+	}
+	s.Mix, s.Seed = mix, o.subSeed(prefix, mix.Name(), name)
+	return o.SimSMT(s)
+}
+
+// banditAlgoOrder lists the Table 8/9 bandit columns in the papers'
+// order; parallel runners iterate it so job lists are deterministic.
 var banditAlgoOrder = []string{"Single", "Periodic", "eps-Greedy", "UCB", "DUCB"}
 
-// smtBanditPolicies builds the per-algorithm controllers compared in
-// Table 9 (and Table 8 for prefetching, with the prefetch
-// hyperparameters).
-func banditAlgorithms(seed uint64, arms int, smt bool) map[string]func() core.Controller {
-	c, gamma := core.PrefetchC, core.PrefetchGamma
-	if smt {
-		c, gamma = core.SMTC, core.SMTGamma
+// algoNames maps each algorithm column label of Tables 8 and 9, Fig. 7
+// and the robustness comparison to its core registry name.
+var algoNames = map[string]string{
+	"Single":     "single",
+	"Periodic":   "periodic",
+	"eps-Greedy": "eps",
+	"UCB":        "ucb",
+	"DUCB":       "ducb",
+	"CTX-DUCB":   "ctx-ducb",
+}
+
+// newAlgo builds a column's agent (core.AlgoConfigAt) at the use case's
+// Table 6 pair: c and gamma.
+func newAlgo(label string, arms int, seed uint64, c, gamma float64) core.Controller {
+	cfg, err := core.AlgoConfigAt(algoNames[label], arms, seed, c, gamma, false)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
 	}
-	mk := func(p func() core.Policy) func() core.Controller {
-		return func() core.Controller {
-			return core.MustNew(core.Config{
-				Arms: arms, Policy: p(), Normalize: true, Seed: seed,
-			})
-		}
-	}
-	return map[string]func() core.Controller{
-		"Single":     mk(func() core.Policy { return core.NewSingle() }),
-		"Periodic":   mk(func() core.Policy { return core.NewPeriodic(8, 4) }),
-		"eps-Greedy": mk(func() core.Policy { return core.NewEpsilonGreedy(0.05) }),
-		"UCB":        mk(func() core.Policy { return core.NewUCB(c) }),
-		"DUCB":       mk(func() core.Policy { return core.NewDUCB(c, gamma) }),
-	}
+	return core.MustNew(cfg)
 }
 
 // sortedKeys returns map keys in a stable order.

@@ -132,7 +132,6 @@ type Table8Result struct {
 func Table8(o Options) Table8Result {
 	apps := o.apps(trace.TuneSet())
 	memCfg := mem.DefaultConfig()
-	arms := prefetch.NewTable7Ensemble().NumArms()
 	best, _ := o.bestStaticPrefetchAll(apps, memCfg)
 
 	cols := append([]string{"Pythia"}, banditAlgoOrder...)
@@ -149,8 +148,8 @@ func Table8(o Options) Table8Result {
 		if name == "Pythia" {
 			return o.runPrefetch(app, PfPythia, memCfg).IPC
 		}
-		mk := banditAlgorithms(o.subSeed("t8", app.Name), arms, false)[name]
-		return o.runPrefetchCtrl(app, name, mk(), memCfg).IPC
+		ctrl := newAlgo(name, core.PrefetchArms, o.subSeed("t8", app.Name), core.PrefetchC, core.PrefetchGamma)
+		return o.runPrefetchCtrl(app, name, ctrl, memCfg).IPC
 	})
 
 	algoRatios := make(map[string][]float64, len(cols))
@@ -668,7 +667,7 @@ func Fig7Prefetch(o Options) []Fig7Panel {
 		if name == "BestStatic" {
 			ctrl = core.FixedArm(bestArm[j.appIdx])
 		} else {
-			ctrl = mustAlgo(strings.ToLower(name), core.PrefetchArms, o.subSeed("f7", app.Name))
+			ctrl = newAlgo(name, core.PrefetchArms, o.subSeed("f7", app.Name), core.PrefetchC, core.PrefetchGamma)
 		}
 		seed := o.subSeed("fig7", app.Name, name)
 		ens := prefetch.NewTable7Ensemble()

@@ -62,15 +62,9 @@ func RewardMetrics(o Options) RewardMetricsResult {
 		mode := modes[j.modeIdx]
 		mix := mixes[j.mixIdx]
 		seed := o.subSeed("reward", mix.Name(), mode.String())
-		sim := simsmt.NewSim(mix.A, mix.B, seed)
-		r := simsmt.NewRunner(sim, simsmt.NewBanditAgent(seed), simsmt.Table1Arms(), true)
-		r.EpochLen = o.EpochLen
-		r.RREpochs = o.RREpochs
-		r.MainEpochs = o.MainEpochs
-		r.Reward = mode
-		r.Solo = [2]float64{solo[mix.A.Name], solo[mix.B.Name]}
-		o.simCycles(r)
-		return simsmt.Evaluate(sim, r.Solo)
+		r := o.SimSMT(SMTSpec{Mix: mix, Seed: seed, Ctrl: simsmt.NewBanditAgent(seed),
+			Reward: mode, Solo: [2]float64{solo[mix.A.Name], solo[mix.B.Name]}})
+		return simsmt.Evaluate(r.Sim, r.Solo)
 	})
 
 	for di, mode := range modes {

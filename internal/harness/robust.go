@@ -150,15 +150,6 @@ func RobustWith(o Options, sweep []fault.Spec) RobustResult {
 	return res
 }
 
-// robustAlgoNames maps each comparison column to its core.ParseAlgo
-// name; DUCB+RR is built by ducbRR.
-var robustAlgoNames = map[string]string{
-	"eps-Greedy": "eps",
-	"UCB":        "ucb",
-	"DUCB":       "ducb",
-	"CTX-DUCB":   "ctx-ducb",
-}
-
 // runPrefetchFaulted simulates one app with the Table 7 ensemble under
 // the named algorithm, with the fault set injected around the clean
 // substrates. rec, when non-nil, receives the run's telemetry.
@@ -169,7 +160,7 @@ func (o Options) runPrefetchFaulted(app trace.App, algo string, fs fault.Set, me
 	if algo == "DUCB+RR" {
 		ctrl = ducbRR(ens.NumArms(), seed, robustRRProb)
 	} else {
-		ctrl = mustAlgo(robustAlgoNames[algo], ens.NumArms(), seed)
+		ctrl = mustAlgo(algoNames[algo], ens.NumArms(), seed)
 	}
 	r := o.SimPrefetch(PrefetchSpec{Gen: app.New(seed), Seed: seed, Mem: memCfg,
 		L2: ens, Ctrl: ctrl, Arms: ens, Faults: fs, Rec: rec})

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"microbandit/internal/core"
 	"microbandit/internal/hw"
 	"microbandit/internal/simsmt"
 	"microbandit/internal/smtwork"
@@ -55,10 +56,11 @@ func Fig5(o Options) Fig5Result {
 	ipcs := runJobs(o, jobs, func(j job) float64 {
 		mix := mixes[j.mixIdx]
 		if j.policyIdx < 0 {
-			return o.runSMTFixed(mix, "choi", simsmt.ChoiPolicy, true).SumIPC
+			return o.simSMTNamed(mix, "choi", 0).Sim.SumIPC()
 		}
 		p := policies[j.policyIdx]
-		return o.runSMTFixed(mix, p.String(), p, true).SumIPC
+		return o.SimSMT(SMTSpec{Mix: mix, Seed: o.subSeed("smt", mix.Name(), p.String()),
+			Policy: p, HillClimb: true}).Sim.SumIPC()
 	})
 
 	res := Fig5Result{Rows: make([]Fig5Row, 0, len(mixes))}
@@ -115,8 +117,9 @@ func (o Options) bestStaticSMTAll(mixes []smtwork.Mix) (bestIPC []float64, bestA
 		}
 	}
 	ipcs := runJobs(o, jobs, func(j job) float64 {
-		return o.runSMTFixed(mixes[j.mixIdx], fmt.Sprintf("static-%d", j.arm),
-			arms[j.arm], true).SumIPC
+		mix := mixes[j.mixIdx]
+		return o.SimSMT(SMTSpec{Mix: mix, Seed: o.subSeed("smt", mix.Name(), fmt.Sprintf("static-%d", j.arm)),
+			Policy: arms[j.arm], HillClimb: true}).Sim.SumIPC()
 	})
 	bestIPC = make([]float64, len(mixes))
 	bestArm = make([]int, len(mixes))
@@ -144,7 +147,6 @@ type Table9Result struct {
 // best static Table 1 arm on the tune mixes.
 func Table9(o Options) Table9Result {
 	mixes := o.mixes(smtwork.TuneMixes())
-	arms := len(simsmt.Table1Arms())
 	best, _ := o.bestStaticSMTAll(mixes)
 
 	cols := append([]string{"Choi"}, banditAlgoOrder...)
@@ -159,10 +161,11 @@ func Table9(o Options) Table9Result {
 		mix := mixes[j.mixIdx]
 		name := cols[j.col]
 		if name == "Choi" {
-			return o.runSMTFixed(mix, "choi", simsmt.ChoiPolicy, true).SumIPC
+			return o.simSMTNamed(mix, "choi", 0).Sim.SumIPC()
 		}
-		mk := banditAlgorithms(o.subSeed("t9", mix.Name()), arms, true)[name]
-		return o.runSMTCtrl(mix, name, mk()).SumIPC
+		ctrl := newAlgo(name, core.SMTArms, o.subSeed("t9", mix.Name()), core.SMTC, core.SMTGamma)
+		return o.SimSMT(SMTSpec{Mix: mix, Seed: o.subSeed("smtctrl", mix.Name(), name),
+			Ctrl: ctrl}).Sim.SumIPC()
 	})
 
 	ratios := make(map[string][]float64, len(cols))
@@ -219,6 +222,7 @@ type Fig13Result struct {
 func Fig13(o Options) Fig13Result {
 	mixes := o.mixes(smtwork.Mixes())
 	const choiRun, icountRun, banditRun, runsPerMix = 0, 1, 2, 3
+	names := [runsPerMix]string{"choi", "icount", "bandit"}
 	type job struct{ mixIdx, run int }
 	jobs := make([]job, 0, runsPerMix*len(mixes))
 	for mi := range mixes {
@@ -228,15 +232,7 @@ func Fig13(o Options) Fig13Result {
 	}
 	ipcs := runJobs(o, jobs, func(j job) float64 {
 		mix := mixes[j.mixIdx]
-		switch j.run {
-		case choiRun:
-			return o.runSMTFixed(mix, "choi", simsmt.ChoiPolicy, true).SumIPC
-		case icountRun:
-			return o.runSMTFixed(mix, "icount", simsmt.ICountPolicy, false).SumIPC
-		default:
-			return o.runSMTCtrl(mix, "bandit",
-				simsmt.NewBanditAgent(o.subSeed("fig13", mix.Name()))).SumIPC
-		}
+		return o.simSMTNamed(mix, names[j.run], o.subSeed("fig13", mix.Name())).Sim.SumIPC()
 	})
 
 	type row struct {
@@ -308,6 +304,7 @@ func Fig15(o Options) Fig15Result {
 	res := Fig15Result{Fractions: map[string]map[string]float64{}}
 
 	kinds := []string{"Choi", "Bandit"}
+	names := []string{"choi", "bandit"}
 	type job struct{ kindIdx, mixIdx int }
 	jobs := make([]job, 0, len(kinds)*len(mixes))
 	for ki := range kinds {
@@ -317,11 +314,7 @@ func Fig15(o Options) Fig15Result {
 	}
 	renames := runJobs(o, jobs, func(j job) simsmt.RenameStats {
 		mix := mixes[j.mixIdx]
-		if kinds[j.kindIdx] == "Choi" {
-			return o.runSMTFixed(mix, "choi", simsmt.ChoiPolicy, true).Rename
-		}
-		return o.runSMTCtrl(mix, "bandit",
-			simsmt.NewBanditAgent(o.subSeed("fig15", mix.Name()))).Rename
+		return o.simSMTNamed(mix, names[j.kindIdx], o.subSeed("fig15", mix.Name())).Sim.RenameStats()
 	})
 
 	for ki, kind := range kinds {
@@ -397,37 +390,24 @@ func Fig7SMT(o Options) []Fig7Panel {
 	return runJobs(o, jobs, func(j job) Fig7Panel {
 		mix := mixes[j.mixIdx]
 		name := algos[j.algoIdx]
-		var arms []simsmt.ArmSample
-		var ipc float64
+		var r *simsmt.Runner
 		if name == "BestStatic" {
-			table := simsmt.Table1Arms()
-			res := o.runSMTFixed(mix, "best-static", table[bestArm[j.mixIdx]], true)
-			arms, ipc = []simsmt.ArmSample{{Cycle: 0, Arm: bestArm[j.mixIdx]}}, res.SumIPC
+			arm := bestArm[j.mixIdx]
+			r = o.SimSMT(SMTSpec{Mix: mix, Seed: o.subSeed("smt", mix.Name(), "best-static"),
+				Policy: simsmt.Table1Arms()[arm], HillClimb: true})
+			r.ArmTrace = []simsmt.ArmSample{{Cycle: 0, Arm: arm}}
 		} else {
-			arms, ipc = o.runSMTTrace(mix, name)
+			ctrl := newAlgo(name, core.SMTArms, o.subSeed("fig7smt", mix.Name(), name), core.SMTC, core.SMTGamma)
+			r = o.SimSMT(SMTSpec{Mix: mix, Seed: o.subSeed("fig7smtrun", mix.Name(), name),
+				Ctrl: ctrl, RecordArms: true})
 		}
-		panel := Fig7Panel{Algo: name, App: mix.Name(), IPC: ipc}
-		panel.Arms = make([]ArmPoint, 0, len(arms))
-		for _, s := range arms {
+		panel := Fig7Panel{Algo: name, App: mix.Name(), IPC: r.Sim.SumIPC()}
+		panel.Arms = make([]ArmPoint, 0, len(r.ArmTrace))
+		for _, s := range r.ArmTrace {
 			panel.Arms = append(panel.Arms, ArmPoint{Cycle: s.Cycle, Arm: s.Arm})
 		}
 		return panel
 	})
-}
-
-// runSMTTrace runs a mix under a named bandit algorithm with arm tracing.
-func (o Options) runSMTTrace(mix smtwork.Mix, algo string) ([]simsmt.ArmSample, float64) {
-	arms := len(simsmt.Table1Arms())
-	ctrl := banditAlgorithms(o.subSeed("fig7smt", mix.Name(), algo), arms, true)[algo]()
-	seed := o.subSeed("fig7smtrun", mix.Name(), algo)
-	sim := simsmt.NewSim(mix.A, mix.B, seed)
-	r := simsmt.NewRunner(sim, ctrl, simsmt.Table1Arms(), true)
-	r.EpochLen = o.EpochLen
-	r.RREpochs = o.RREpochs
-	r.MainEpochs = o.MainEpochs
-	r.RecordArms()
-	o.simCycles(r)
-	return r.ArmTrace, sim.SumIPC()
 }
 
 // ---------------------------------------------------------------------

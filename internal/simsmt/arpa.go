@@ -1,7 +1,5 @@
 package simsmt
 
-import "context"
-
 // ARPA (Wang, Koren & Krishna, PACT 2008) is the alternative SMT
 // resource-distribution method the paper's related work discusses (§8):
 // instead of hill-climbing a threshold, it partitions shared resources in
@@ -11,9 +9,9 @@ import "context"
 //
 // This implementation drives the same share knob Hill Climbing does (the
 // per-thread occupancy cap applied by the fetch-gating policy), so ARPA,
-// Choi, and the Bandit are compared on identical machinery. The paper
-// suggests Bandit could sit on top of ARPA exactly as it does on Hill
-// Climbing; ARPARunner therefore accepts an optional arm controller too.
+// Choi, and the Bandit are compared on identical machinery. It is a
+// fixed-policy partitioner: a Runner with ARPA set (NewARPARunner) keeps
+// one fetch PG policy and takes no arm controller.
 type ARPA struct {
 	// Smoothing is the EWMA factor applied to the efficiency-derived
 	// share (0 = jump immediately; 0.5 = halve the step).
@@ -58,40 +56,10 @@ func (a *ARPA) Reset() {
 	a.prevOcc = [2]int64{}
 }
 
-// ARPARunner drives the pipeline with ARPA partitioning, optionally under
-// a bandit arm controller selecting the fetch PG policy (the composition
-// §8 proposes).
-type ARPARunner struct {
-	Sim  *SMT
-	ARPA *ARPA
-	// EpochLen is the repartitioning epoch in cycles.
-	EpochLen int64
-}
-
-// NewARPARunner builds an ARPA-partitioned runner with the given fixed
-// fetch PG policy.
-func NewARPARunner(sim *SMT, policy Policy) *ARPARunner {
-	sim.SetPolicy(policy)
-	return &ARPARunner{Sim: sim, ARPA: NewARPA(), EpochLen: EpochCycles}
-}
-
-// RunCycles simulates n cycles with per-epoch repartitioning.
-func (r *ARPARunner) RunCycles(n int64) {
-	r.RunCyclesCtx(context.Background(), n)
-}
-
-// RunCyclesCtx is RunCycles with cooperative cancellation, checked at
-// every repartitioning epoch; partial statistics stay valid.
-func (r *ARPARunner) RunCyclesCtx(ctx context.Context, n int64) error {
-	end := r.Sim.Cycle() + n
-	r.Sim.SetShare(r.ARPA.Share())
-	for r.Sim.Cycle() < end {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r.Sim.RunCycles(r.EpochLen)
-		r.ARPA.EpochEnd(r.Sim)
-		r.Sim.SetShare(r.ARPA.Share())
-	}
-	return ctx.Err()
+// NewARPARunner builds a controller-less Runner that keeps the given
+// fetch PG policy and repartitions with ARPA every epoch.
+func NewARPARunner(sim *SMT, policy Policy) *Runner {
+	r := NewFixedRunner(sim, policy, false)
+	r.ARPA = NewARPA()
+	return r
 }

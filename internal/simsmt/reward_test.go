@@ -149,9 +149,9 @@ func TestARPAPartitionsTowardEfficientThread(t *testing.T) {
 	// should shift share toward the efficient thread.
 	p0 := mustProfile(t, "exchange2")
 	p1 := mustProfile(t, "mcf")
-	sim := NewSim(p0, p1, 3)
-	sim.SetPolicy(mustPolicy("IC_1111"))
-	r := &ARPARunner{Sim: sim, ARPA: a, EpochLen: 8192}
+	r := NewARPARunner(NewSim(p0, p1, 3), mustPolicy("IC_1111"))
+	r.ARPA = a
+	r.EpochLen = 8192
 	r.RunCycles(400_000)
 	if a.Share() <= 0.55 {
 		t.Errorf("share = %.3f; expected shift toward the efficient thread", a.Share())

@@ -23,15 +23,18 @@ const (
 // Runner drives the SMT pipeline with Hill Climbing plus an arm
 // controller that selects the fetch PG policy every bandit step (§5.3).
 //
-// When Ctrl is nil the runner is a plain fixed-policy + Hill Climbing
-// platform (the Choi and ICount baselines).
+// When Ctrl is nil the runner is a plain fixed-policy platform: with or
+// without Hill Climbing (the Choi and ICount baselines), or with ARPA
+// repartitioning the threads' share in Hill Climbing's place.
 type Runner struct {
 	Sim  *SMT
 	HC   *HillClimb
 	Ctrl core.Controller
 	Arms []Policy
+	// ARPA, when non-nil, sets the share every epoch instead of HC.
+	ARPA *ARPA
 
-	// EpochLen is the Hill Climbing epoch in cycles.
+	// EpochLen is the Hill Climbing (or ARPA) epoch in cycles.
 	EpochLen int64
 	// MainEpochs and RREpochs are the bandit step lengths.
 	MainEpochs, RREpochs int
@@ -104,13 +107,7 @@ func (r *Runner) RecordArms() { r.recordArms = true }
 
 // RunCycles simulates n cycles, driving epochs, Hill Climbing, and the
 // bandit protocol.
-func (r *Runner) RunCycles(n int64) {
-	end := r.Sim.Cycle() + n
-	r.primeArm()
-	for r.Sim.Cycle() < end {
-		r.runEpoch()
-	}
-}
+func (r *Runner) RunCycles(n int64) { _ = r.RunCyclesCtx(context.Background(), n) }
 
 // RunCyclesCtx is RunCycles with cooperative cancellation, checked at
 // every epoch boundary (an epoch is tens of microseconds of host time).
@@ -128,21 +125,10 @@ func (r *Runner) RunCyclesCtx(ctx context.Context, n int64) error {
 	return ctx.Err()
 }
 
-// RunUntilCommitted simulates until both threads commit n uops (bounded
-// by maxCycles).
-func (r *Runner) RunUntilCommitted(n, maxCycles int64) {
-	r.primeArm()
-	for (r.Sim.Committed(0) < n || r.Sim.Committed(1) < n) && r.Sim.Cycle() < maxCycles {
-		r.runEpoch()
-	}
-}
-
 // primeArm applies the first bandit arm before simulation starts.
 func (r *Runner) primeArm() {
 	if r.Ctrl == nil || r.Sim.Cycle() > 0 {
-		if r.hcEnabled {
-			r.Sim.SetShare(r.HC.Share())
-		}
+		r.setShare()
 		return
 	}
 	r.curArm = r.Ctrl.Step()
@@ -159,14 +145,22 @@ func (r *Runner) applyArm(arm int) {
 	} else {
 		r.HC.Reset()
 	}
-	if r.hcEnabled {
-		r.Sim.SetShare(r.HC.Share())
-	}
+	r.setShare()
 	r.epochInArm = 0
 	if r.recordArms {
 		if n := len(r.ArmTrace); n == 0 || r.ArmTrace[n-1].Arm != arm {
 			r.ArmTrace = append(r.ArmTrace, ArmSample{Cycle: r.Sim.Cycle(), Arm: arm})
 		}
+	}
+}
+
+// setShare applies the partitioner's share: ARPA's when set, otherwise
+// Hill Climbing's when enabled.
+func (r *Runner) setShare() {
+	if r.ARPA != nil {
+		r.Sim.SetShare(r.ARPA.Share())
+	} else if r.hcEnabled {
+		r.Sim.SetShare(r.HC.Share())
 	}
 }
 
@@ -179,10 +173,12 @@ func (r *Runner) runEpoch() {
 	epochIPC := float64(r.Sim.Committed(0)+r.Sim.Committed(1)-startCommit) /
 		float64(r.Sim.Cycle()-startCycle)
 
-	if r.hcEnabled {
+	if r.ARPA != nil {
+		r.ARPA.EpochEnd(r.Sim)
+	} else if r.hcEnabled {
 		r.HC.EpochEnd(epochIPC)
-		r.Sim.SetShare(r.HC.Share())
 	}
+	r.setShare()
 
 	if r.Ctrl == nil {
 		return
@@ -222,15 +218,15 @@ func (r *Runner) runEpoch() {
 	r.stepStartCycle = r.Sim.Cycle()
 }
 
-// NewBanditAgent builds the paper's SMT Bandit: DUCB with the Table 6
-// hyperparameters over the Table 1 arms.
+// NewBanditAgent builds the paper's SMT Bandit: the registry's "ducb"
+// (core.AlgoConfigAt) at the SMT Table 6 hyperparameters over the
+// Table 1 arms.
 func NewBanditAgent(seed uint64) *core.Agent {
-	return core.MustNew(core.Config{
-		Arms:      len(Table1Arms()),
-		Policy:    core.NewDUCB(core.SMTC, core.SMTGamma),
-		Normalize: true,
-		Seed:      seed,
-	})
+	cfg, err := core.AlgoConfigAt("ducb", len(Table1Arms()), seed, core.SMTC, core.SMTGamma, false)
+	if err != nil {
+		panic(err)
+	}
+	return core.MustNew(cfg)
 }
 
 // NewSim builds a default-config pipeline over two profile workloads.

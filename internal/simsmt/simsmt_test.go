@@ -253,16 +253,6 @@ func TestBanditRunnerSavesHCPerArm(t *testing.T) {
 	}
 }
 
-func TestRunUntilCommitted(t *testing.T) {
-	sim := NewSim(mustProfile(t, "gcc"), mustProfile(t, "leela"), 3)
-	r := NewFixedRunner(sim, ChoiPolicy, true)
-	r.RunUntilCommitted(20_000, 10_000_000)
-	if sim.Committed(0) < 20_000 || sim.Committed(1) < 20_000 {
-		t.Errorf("commits = %d/%d, want >= 20000 each",
-			sim.Committed(0), sim.Committed(1))
-	}
-}
-
 func TestNewPanicsOnBadWidths(t *testing.T) {
 	defer func() {
 		if recover() == nil {
