@@ -44,10 +44,33 @@ func TestBatchMatchesScalar(t *testing.T) {
 		`{"arms":6,"algo":"ducb","seed":10}`,
 		`{"arms":3,"seed":11,"meta_pairs":[[0.5,0.99],[1.0,0.999]]}`, // scalar path inside the batch
 	}
-	const rounds = 120
+	checkBatchMatchesScalar(t, func() *Server { return New(Config{}) }, specs, 120)
+}
 
+// TestBatchMatchesScalarAcrossChunks runs the same equivalence over 40
+// sessions of one arm count in a one-shard store, whose arena grows to
+// several chunks, so each batch locks and sweeps sessions of one shard
+// spread over several slabs.
+func TestBatchMatchesScalarAcrossChunks(t *testing.T) {
+	var specs []string
+	for i := 0; i < 40; i++ {
+		algo := [...]string{"ducb", "eps", "ucb"}[i%3]
+		specs = append(specs, fmt.Sprintf(`{"arms":6,"algo":%q,"seed":%d}`, algo, i+1))
+	}
+	srv := checkBatchMatchesScalar(t, func() *Server { return New(Config{Store: NewStore(1)}) }, specs, 60)
+	if n := arenaChunks(srv.Store(), 6); n < 3 {
+		t.Fatalf("40 sessions in one shard fill %d chunks, want >= 3", n)
+	}
+}
+
+// checkBatchMatchesScalar creates the sessions of specs on one fresh
+// server driven over the scalar endpoints and on another driven over
+// /v1/batch, and requires identical arm streams. It returns the batched
+// server.
+func checkBatchMatchesScalar(t *testing.T, newServer func() *Server, specs []string, rounds int) *Server {
+	t.Helper()
 	runScalar := func() [][]int {
-		srv := New(Config{})
+		srv := newServer()
 		arms := make([][]int, len(specs))
 		for si, spec := range specs {
 			var cr createResponse
@@ -64,8 +87,8 @@ func TestBatchMatchesScalar(t *testing.T) {
 		return arms
 	}
 
+	srv := newServer()
 	runBatched := func() [][]int {
-		srv := New(Config{})
 		ids := make([]string, len(specs))
 		for si, spec := range specs {
 			var cr createResponse
@@ -121,6 +144,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+	return srv
 }
 
 // TestBatchPerOpErrors checks that one batch can mix successes and typed
@@ -324,10 +348,34 @@ func TestBatchDecodeAllocs(t *testing.T) {
 // overlapping session population, with deletes and re-creates mixed in.
 // Run under -race this is the batch plane's data-race probe; the
 // assertions only require that every response is well-formed — protocol
-// conflicts between racing batches are expected and typed.
+// conflicts between racing batches are expected and typed. The one-shard
+// case holds its sessions in several chunks of one arena, so batches
+// lock across chunks of a shard while re-creates reuse freed slots in
+// any of them.
 func TestBatchConcurrent(t *testing.T) {
-	srv := New(Config{Store: NewStore(4)})
-	const sessions = 24
+	for _, c := range []struct {
+		name             string
+		shards, sessions int
+	}{
+		{"4shards", 4, 24},
+		{"1shard-chunks", 1, 40},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := New(Config{Store: NewStore(c.shards)})
+			hammerBatch(t, srv, c.sessions)
+			if c.shards == 1 {
+				if n := arenaChunks(srv.Store(), 5); n < 3 {
+					t.Fatalf("%d sessions in one shard fill %d chunks, want >= 3", c.sessions, n)
+				}
+			}
+		})
+	}
+}
+
+// hammerBatch creates the given number of five-arm DUCB sessions on
+// srv, then races four batch clients against a goroutine that deletes
+// and re-creates sessions.
+func hammerBatch(t *testing.T, srv *Server, sessions int) {
 	ids := make([]string, sessions)
 	for i := range ids {
 		var cr createResponse
@@ -346,6 +394,7 @@ func TestBatchConcurrent(t *testing.T) {
 			for iter := 0; iter < 200; iter++ {
 				var b strings.Builder
 				b.WriteString(`{"ops":[`)
+				var opIDs []string // the session of each op, in body order
 				n := 1 + rng.IntN(8)
 				for i := 0; i < n; i++ {
 					if i > 0 {
@@ -354,8 +403,10 @@ func TestBatchConcurrent(t *testing.T) {
 					id := ids[rng.IntN(sessions)]
 					if seq, ok := seqs[id]; ok && rng.IntN(2) == 0 {
 						fmt.Fprintf(&b, `{"id":%q,"seq":%d,"reward":0.5},{"id":%q,"step":true}`, id, seq, id)
+						opIDs = append(opIDs, id, id)
 					} else {
 						fmt.Fprintf(&b, `{"id":%q,"step":true}`, id)
+						opIDs = append(opIDs, id)
 					}
 				}
 				b.WriteString(`]}`)
@@ -371,12 +422,17 @@ func TestBatchConcurrent(t *testing.T) {
 					t.Errorf("batch response undecodable: %v", err)
 					return
 				}
-				// Remember seen seqs (best effort under racing
-				// writers) so later iterations exercise the reward
-				// path for real; stale seqs earn typed conflicts.
-				for _, r := range out.Results {
+				if len(out.Results) != len(opIDs) {
+					t.Errorf("%d results for %d ops", len(out.Results), len(opIDs))
+					return
+				}
+				// Remember each session's last step seq (best effort
+				// under racing writers) so later iterations exercise
+				// the reward path for real; seqs another client
+				// overtook earn typed conflicts.
+				for i, r := range out.Results {
 					if r.Seq != nil {
-						seqs[ids[rng.IntN(sessions)]] = *r.Seq
+						seqs[opIDs[i]] = *r.Seq
 					}
 				}
 			}

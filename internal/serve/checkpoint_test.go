@@ -163,6 +163,48 @@ func TestCheckpointReplayAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestRestoreManySessionsOneShard restores a 1200-session checkpoint
+// into a one-shard store: every session continues its arm stream, and
+// the restore grows the shard's arena by doubling, so it builds ten
+// chunks (4, 4, 8, ..., 512, 512 slots) rather than one per session or a
+// full-size chunk for the first.
+func TestRestoreManySessionsOneShard(t *testing.T) {
+	const sessions = 1200
+	st := NewStore(0)
+	ids := make([]string, sessions)
+	for i := range ids {
+		s, err := st.Create(Spec{Algo: "ducb", Arms: 8, Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		ids[i] = s.ID()
+	}
+	driveSessions(t, st, ids, 5)
+	data, err := st.Checkpoint()
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	restored, err := RestoreCheckpoint(data, 1)
+	if err != nil {
+		t.Fatalf("RestoreCheckpoint: %v", err)
+	}
+	if n := restored.Len(); n != sessions {
+		t.Fatalf("restored %d sessions, want %d", n, sessions)
+	}
+	if n := arenaChunks(restored, 8); n != 10 {
+		t.Fatalf("restore built %d chunks, want 10", n)
+	}
+	want := driveSessions(t, st, ids, 20)
+	got := driveSessions(t, restored, ids, 20)
+	for _, id := range ids {
+		for i := range want[id] {
+			if got[id][i] != want[id][i] {
+				t.Fatalf("session %s decision %d: restored arm %d, original %d", id, i, got[id][i], want[id][i])
+			}
+		}
+	}
+}
+
 // TestCheckpointNextIDSurvives verifies that ids allocated after a
 // restore don't collide with checkpointed sessions.
 func TestCheckpointNextIDSurvives(t *testing.T) {

@@ -38,9 +38,11 @@ type shard struct {
 
 // slabArena is one shard's slab storage for a single arm count: a list
 // of fixed-capacity chunks, grown one chunk at a time as sessions
-// accumulate. Chunks are never reclaimed — freed slots recycle within
-// their chunk — so agent pointers and table views stay valid for a
-// session's whole life.
+// accumulate, each new chunk sized by chunkSlots from the slots the
+// arena already holds, so the arena doubles from a few slots up to
+// full-size chunks. Chunks are never reclaimed — freed slots recycle
+// within their chunk — so agent pointers and table views stay valid for
+// a session's whole life.
 type slabArena struct {
 	chunks []*arenaChunk
 }
@@ -53,19 +55,18 @@ type arenaChunk struct {
 	ord  uint64
 }
 
-// chunkSlots sizes a slab chunk: aim for ~8192 table floats per chunk so
-// chunks are big enough to amortize the per-chunk bookkeeping but small
-// enough that a shard with three sessions hasn't reserved megabytes.
-func chunkSlots(arms int) int {
-	const targetFloats = 8192
-	n := targetFloats / arms
-	if n < 16 {
-		n = 16
-	}
-	if n > 512 {
-		n = 512
-	}
-	return n
+// chunkSlots sizes an arena's next chunk from the slots the arena
+// already holds. The first chunk has 4 slots; each later one
+// matches the arena's capacity so far, so the arena doubles, until
+// chunks reach the full size: ~8192 table floats, clamped to [16, 512]
+// slots (the batch plane's sort key gives the slot 12 bits). Storage is
+// thus paid per session — 128 DUCB-8 sessions over 64 shards hold
+// ~1.5 KB each — while a shard with thousands of sessions still
+// amortizes its per-chunk bookkeeping over full-size chunks.
+func chunkSlots(arms, held int) int {
+	const firstSlots, targetFloats = 4, 8192
+	full := min(max(targetFloats/arms, 16), 512)
+	return min(max(held, firstSlots), full)
 }
 
 // NewStore returns a store with at least the requested number of shards,
@@ -111,21 +112,24 @@ func (st *Store) shardFor(id string) *shard {
 }
 
 // lockedChunkFor returns a chunk with at least one free slot for the
-// given arm count, growing the arena when every chunk is full. The
-// caller must hold sh.mu for writing.
+// given arm count, growing the arena by one chunkSlots-sized chunk when
+// every chunk is full. Session create and checkpoint restore both place
+// agents through it. The caller must hold sh.mu for writing.
 func (st *Store) lockedChunkFor(sh *shard, arms int) *arenaChunk {
 	ar := sh.arenas[arms]
 	if ar == nil {
 		ar = &slabArena{}
 		sh.arenas[arms] = ar
 	}
+	held := 0
 	for _, c := range ar.chunks {
 		if c.slab.Live() < c.slab.Cap() {
 			return c
 		}
+		held += c.slab.Cap()
 	}
 	c := &arenaChunk{
-		slab: core.MustNewSlab(arms, chunkSlots(arms)),
+		slab: core.MustNewSlab(arms, chunkSlots(arms, held)),
 		ord:  st.slabSeq.Add(1),
 	}
 	ar.chunks = append(ar.chunks, c)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -291,6 +292,81 @@ func TestSessionIDsAreDense(t *testing.T) {
 		}
 		if want := fmt.Sprintf("s-%08x", i); s.ID() != want {
 			t.Fatalf("id = %q, want %q", s.ID(), want)
+		}
+	}
+}
+
+// arenaChunks counts the slab chunks every shard of st holds for agents
+// of the given arm count.
+func arenaChunks(st *Store, arms int) int {
+	n := 0
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.RLock()
+		if ar := sh.arenas[arms]; ar != nil {
+			n += len(ar.chunks)
+		}
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// TestChunkSlotsDoubles pins the arena growth rule: a few slots first,
+// then each chunk matches the arena's capacity so far, up to the
+// full-size chunk for the arm count.
+func TestChunkSlotsDoubles(t *testing.T) {
+	for _, c := range []struct {
+		arms int
+		want []int
+	}{
+		{8, []int{4, 4, 8, 16, 32, 64, 128, 256, 512, 512, 512}},
+		{64, []int{4, 4, 8, 16, 32, 64, 128, 128, 128, 128, 128}},
+		{MaxArms, []int{4, 4, 8, 16, 16, 16, 16, 16, 16, 16, 16}},
+	} {
+		held := 0
+		for i, want := range c.want {
+			if got := chunkSlots(c.arms, held); got != want {
+				t.Fatalf("arms %d: chunk %d holds %d slots, want %d", c.arms, i, got, want)
+			}
+			held += want
+		}
+	}
+}
+
+// TestStoreBytesPerSession pins the store's footprint: the heap one
+// live DUCB-8 session costs in a default 64-shard store, its share of
+// the slab arenas included. The agent's learned state is 128 bytes of
+// R and N rows; a store that reserved a full 512-slot chunk in every
+// shard a session touched cost ~107 KB per session at 128 sessions.
+func TestStoreBytesPerSession(t *testing.T) {
+	heap := func() int64 {
+		// Two cycles: sync.Pool victims survive the first.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, c := range []struct {
+		sessions int
+		maxBytes int64
+	}{
+		{1, 8 << 10},
+		{128, 4 << 10},
+		{16384, 2 << 10},
+	} {
+		st := NewStore(0)
+		before := heap()
+		for i := 0; i < c.sessions; i++ {
+			if _, err := st.Create(Spec{Algo: "ducb", Arms: 8, Seed: uint64(i + 1)}); err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+		}
+		per := (heap() - before) / int64(c.sessions)
+		runtime.KeepAlive(st)
+		t.Logf("%d sessions: %d B per session", c.sessions, per)
+		if per > c.maxBytes {
+			t.Errorf("%d sessions: %d B per session, want <= %d", c.sessions, per, c.maxBytes)
 		}
 	}
 }
