@@ -66,9 +66,6 @@ type (
 	// Coordinator serializes §4.3 restarts across sibling agents (the
 	// multi-bandit exploration orchestration of §8).
 	Coordinator = core.Coordinator
-	// Thompson is Thompson sampling (the paper's reference [73]),
-	// provided as a library extension beyond the evaluated algorithms.
-	Thompson = core.Thompson
 	// Slab is the struct-of-arrays arena holding many agents' learned
 	// state contiguously, with StepBatch/RewardBatch kernels.
 	Slab = core.Slab
@@ -104,10 +101,6 @@ var (
 	NewDUCBSweepMeta = core.NewDUCBSweepMeta
 	// NewCoordinator builds an exploration coordinator.
 	NewCoordinator = core.NewCoordinator
-	// NewThompson returns a Thompson-sampling policy.
-	NewThompson = core.NewThompson
-	// NewDiscountedThompson adds DUCB-style count discounting to it.
-	NewDiscountedThompson = core.NewDiscountedThompson
 )
 
 // Paper hyperparameters (Table 6), re-exported for convenience.

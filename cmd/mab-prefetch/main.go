@@ -20,7 +20,7 @@
 //
 // -telemetry writes the JSONL event stream plus timeline.csv and
 // regret.csv next to it, byte-identical at every -j value; -sim-fields
-// adds the simulator-effectiveness fields to its interval events.
+// adds the fast-forward coverage field to its interval events.
 package main
 
 import (
@@ -68,7 +68,7 @@ func main() {
 	showTrace := flag.Bool("trace", false, "print the arm exploration trace")
 	telemetry := flag.String("telemetry", "", "write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
 	telemetryEvery := flag.Int("telemetry-every", 100, "telemetry snapshot/interval cadence in bandit steps")
-	simFields := flag.Bool("sim-fields", false, "with -telemetry: add simulator-effectiveness fields (chunk_hit_rate, ff_coverage) to interval events")
+	simFields := flag.Bool("sim-fields", false, "with -telemetry: add the simulator-effectiveness field ff_coverage (fast-forward coverage) to interval events")
 	list := flag.Bool("list", false, "list catalog applications and exit")
 	workers := flag.Int("j", 0, "worker goroutines for multi-app runs (0 = one per CPU)")
 	showVersion := flag.Bool("version", false, "print version and exit")

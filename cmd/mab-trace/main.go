@@ -192,7 +192,7 @@ func replay(args []string) {
 	seed := fs.Uint64("seed", 1, "random seed")
 	telemetry := fs.String("telemetry", "", "write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
 	telemetryEvery := fs.Int("telemetry-every", 100, "telemetry snapshot/interval cadence in bandit steps")
-	simFields := fs.Bool("sim-fields", false, "with -telemetry: add simulator-effectiveness fields (chunk_hit_rate, ff_coverage) to interval events")
+	simFields := fs.Bool("sim-fields", false, "with -telemetry: add the simulator-effectiveness field ff_coverage (fast-forward coverage) to interval events")
 	_ = fs.Parse(args)
 
 	if *in == "" {

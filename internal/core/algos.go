@@ -14,18 +14,13 @@ import (
 // AlgoNames returns the algorithm names ParseAlgo accepts, in display
 // order. "static:N" stands for any fixed arm index.
 func AlgoNames() []string {
-	return []string{"ducb", "ucb", "eps", "thompson", "single", "periodic",
-		"ctx-ducb", "linucb", "ctx-thompson", "static:N"}
+	return []string{"ducb", "ucb", "eps", "single", "periodic", "ctx-ducb", "static:N"}
 }
 
 // contextualBases maps a contextual algorithm name to the per-context
-// base algorithm it runs over each signature's Tables. "linucb" maps to
-// "ucb" because disjoint LinUCB over one-hot context features reduces
-// exactly to per-context UCB (see contextual.go).
+// base algorithm it runs over each signature's Tables.
 var contextualBases = map[string]string{
-	"ctx-ducb":     "ducb",
-	"linucb":       "ucb",
-	"ctx-thompson": "thompson",
+	"ctx-ducb": "ducb",
 }
 
 // ContextualBase returns the per-context base algorithm for a contextual
@@ -57,11 +52,6 @@ func AlgoConfigAt(name string, arms int, seed uint64, c, gamma float64, recordTr
 		policy = NewUCB(c)
 	case "eps":
 		policy = NewEpsilonGreedy(0.05)
-	case "thompson":
-		// Discounted like DUCB, with the exploration constant standing in
-		// for the posterior noise scale, so the two are comparable under
-		// the same non-stationarity.
-		policy = NewDiscountedThompson(c, gamma)
 	case "single":
 		policy = NewSingle()
 	case "periodic":

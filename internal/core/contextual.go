@@ -7,18 +7,12 @@ import (
 // This file is the contextual tier: per-context arm statistics keyed by a
 // compact state signature, following the contextual-bandit formulation
 // (van Emden & Kaptein's `contextual` survey) specialized to the paper's
-// hardware constraints. Rather than a full feature-vector LinUCB — whose
-// per-arm d×d matrix inverse is far outside the paper's 8-bytes-per-arm
-// budget — the context space is bucketed into a small discrete Signature
-// (phase id, MPKI band, DRAM-bandwidth-utilization band), and each
-// signature gets its own ordinary Tables driven by an ordinary Policy.
-//
-// With one-hot (disjoint-arm) context features this IS LinUCB: the A
-// matrix stays diagonal, x'A⁻¹x collapses to 1/n for the active context,
-// and the UCB bonus α·sqrt(x'A⁻¹x) becomes the familiar α/√n over the
-// per-context count — so the "linucb" registry name maps to per-context
-// UCB, exactly, not approximately. "ctx-thompson" likewise runs Thompson
-// sampling over per-context posteriors.
+// hardware constraints. Rather than a full feature-vector linear model —
+// whose per-arm d×d matrix inverse is far outside the paper's
+// 8-bytes-per-arm budget — the context space is bucketed into a small
+// discrete Signature (phase id, MPKI band, DRAM-bandwidth-utilization
+// band), and each signature gets its own ordinary Tables driven by an
+// ordinary Policy.
 //
 // The context map is bounded: at most MaxContexts signatures hold live
 // tables, evicted LRU, so the "lightweight" claim survives adversarial
@@ -109,8 +103,8 @@ const MaxMaxContexts = 4096
 type ContextualConfig struct {
 	// Arms is the number of actions, shared by every context.
 	Arms int
-	// Algo names the per-context base algorithm ("ducb", "ucb", "eps",
-	// "thompson") resolved through AlgoConfig, so a name means the same
+	// Algo names the per-context base algorithm ("ducb", "ucb", "eps")
+	// resolved through AlgoConfig, so a name means the same
 	// hyperparameters here as everywhere else.
 	Algo string
 	// Seed seeds the agent family; each context derives its own private

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -202,9 +203,9 @@ func TestContextualDefaultContextIsZeroSignature(t *testing.T) {
 }
 
 func TestContextualSnapshotRoundTrip(t *testing.T) {
-	for _, algo := range []string{"ctx-ducb", "linucb", "ctx-thompson"} {
-		t.Run(algo, func(t *testing.T) {
-			base, _ := ContextualBase(algo)
+	// The registry's ctx-ducb, plus per-context UCB built directly.
+	for _, base := range []string{"ducb", "ucb"} {
+		t.Run("ctx-"+base, func(t *testing.T) {
 			ca, err := NewContextualAgent(ContextualConfig{Arms: 4, Algo: base, Seed: 42, MaxContexts: 3})
 			if err != nil {
 				t.Fatal(err)
@@ -322,27 +323,29 @@ func TestContextualSnapshotValidation(t *testing.T) {
 }
 
 func TestContextualRegistry(t *testing.T) {
-	for _, name := range []string{"ctx-ducb", "linucb", "ctx-thompson"} {
-		ctrl, err := ParseAlgo(name, 4, 9, false)
-		if err != nil {
-			t.Fatalf("ParseAlgo(%s): %v", name, err)
-		}
-		if _, ok := ctrl.(*ContextualAgent); !ok {
-			t.Fatalf("ParseAlgo(%s) = %T, want *ContextualAgent", name, ctrl)
-		}
-		if _, ok := ctrl.(ContextSetter); !ok {
-			t.Fatalf("ParseAlgo(%s) does not accept contexts", name)
-		}
-		if _, err := AlgoConfig(name, 4, 9, false); err == nil {
-			t.Fatalf("AlgoConfig(%s) accepted a contextual name", name)
-		}
-	}
-	ctrl, err := ParseAlgo("thompson", 4, 9, false)
+	ctrl, err := ParseAlgo("ctx-ducb", 4, 9, false)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("ParseAlgo(ctx-ducb): %v", err)
 	}
-	if _, ok := ctrl.(*Agent); !ok {
-		t.Fatalf("ParseAlgo(thompson) = %T, want *Agent", ctrl)
+	if _, ok := ctrl.(*ContextualAgent); !ok {
+		t.Fatalf("ParseAlgo(ctx-ducb) = %T, want *ContextualAgent", ctrl)
+	}
+	if _, ok := ctrl.(ContextSetter); !ok {
+		t.Fatal("ParseAlgo(ctx-ducb) does not accept contexts")
+	}
+	if _, err := AlgoConfig("ctx-ducb", 4, 9, false); err == nil {
+		t.Fatal("AlgoConfig(ctx-ducb) accepted a contextual name")
+	}
+	// Removed names are refused with the valid list, by the registry and
+	// as a contextual base alike.
+	valid := strings.Join(AlgoNames(), ", ")
+	for _, name := range []string{"thompson", "linucb", "ctx-thompson"} {
+		if _, err := ParseAlgo(name, 4, 9, false); err == nil || !strings.Contains(err.Error(), valid) {
+			t.Errorf("ParseAlgo(%s) = %v, want an error listing %q", name, err, valid)
+		}
+		if _, err := NewContextualAgent(ContextualConfig{Arms: 4, Algo: name, Seed: 1}); err == nil {
+			t.Errorf("NewContextualAgent accepted base %q", name)
+		}
 	}
 	if _, err := NewContextualAgent(ContextualConfig{Arms: 4, Algo: "single", Seed: 1}); err != nil {
 		t.Fatalf("heuristic base policies should be allowed: %v", err)

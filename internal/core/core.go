@@ -119,10 +119,6 @@ type Config struct {
 	// RecordTrace keeps the per-step arm choices for exploration plots
 	// (Fig. 7). Off by default to keep the agent allocation-free.
 	RecordTrace bool
-	// HardwarePrecision quantizes the rTable to float32 and the
-	// exploration arithmetic accordingly, emulating the 8-byte-per-arm
-	// hardware storage format (§5.4).
-	HardwarePrecision bool
 	// Obs receives telemetry events (arm choices, rewards, state
 	// snapshots, §4.3 restarts). nil — the default — disables emission
 	// entirely; the hot path then costs one nil check per call.
@@ -321,10 +317,6 @@ func (a *Agent) Reward(rStep float64) {
 		a.computeNormalization()
 	}
 
-	if a.cfg.HardwarePrecision {
-		a.quantize()
-	}
-
 	if a.cfg.Obs != nil && a.cfg.ObsEvery > 0 && a.steps%a.cfg.ObsEvery == 0 {
 		a.cfg.Obs.Record(obs.Event{
 			Kind:   obs.KindSnapshot,
@@ -352,8 +344,6 @@ func (a *Agent) policyNextArm() int {
 		return argmaxPotential(t, p.C)
 	case *EpsilonGreedy:
 		return epsNextArm(t, p.Epsilon, &a.rng)
-	case *Thompson:
-		return thompsonNextArm(t, p.Sigma, &a.rng)
 	case *Static:
 		return p.Arm
 	default:
@@ -369,12 +359,6 @@ func (a *Agent) policyUpdateSelections(arm int) {
 		discountSelect(t, p.Gamma, arm)
 	case *UCB, *EpsilonGreedy, *Static:
 		countSelect(t, arm)
-	case *Thompson:
-		if p.discounting() {
-			discountSelect(t, p.Gamma, arm)
-		} else {
-			countSelect(t, arm)
-		}
 	default:
 		a.cfg.Policy.UpdateSelections(t, arm)
 	}
@@ -383,7 +367,7 @@ func (a *Agent) policyUpdateSelections(arm int) {
 // policyUpdateReward is the devirtualized Policy.UpdateReward.
 func (a *Agent) policyUpdateReward(arm int, rStep float64) {
 	switch a.cfg.Policy.(type) {
-	case *DUCB, *UCB, *EpsilonGreedy, *Static, *Thompson:
+	case *DUCB, *UCB, *EpsilonGreedy, *Static:
 		foldReward(a.tables, arm, rStep)
 	default:
 		a.cfg.Policy.UpdateReward(a.tables, arm, rStep)
@@ -423,13 +407,6 @@ func (a *Agent) computeNormalization() {
 		a.tables.R[i] /= avg
 	}
 	a.normalized = true
-}
-
-// quantize emulates the hardware storage format: float32 rewards.
-func (a *Agent) quantize() {
-	for i := range a.tables.R {
-		a.tables.R[i] = float64(float32(a.tables.R[i]))
-	}
 }
 
 // BestArm returns the arm with the highest learned average reward.

@@ -411,16 +411,6 @@ func TestNoRestartWhenProbZero(t *testing.T) {
 	}
 }
 
-func TestHardwarePrecisionQuantizes(t *testing.T) {
-	a := MustNew(Config{Arms: 2, Policy: NewUCB(0.1), Seed: 1, HardwarePrecision: true})
-	a.Step()
-	a.Reward(1.0 / 3.0)
-	r := a.Rewards()
-	if r[0] != float64(float32(1.0/3.0)) {
-		t.Errorf("reward not quantized to float32: %v", r[0])
-	}
-}
-
 func TestPotentialsExposedForUCBFamily(t *testing.T) {
 	a := MustNew(Config{Arms: 3, Policy: NewDUCB(0.1, 0.99), Seed: 1})
 	for i := 0; i < 3; i++ {

@@ -23,7 +23,7 @@ func dirtySlot(a *Agent) {
 }
 
 func TestSlabRecycledSlotMatchesFreshAgent(t *testing.T) {
-	algos := []string{"ducb", "ucb", "eps", "thompson"}
+	algos := []string{"ducb", "ucb", "eps"}
 	for _, algo := range algos {
 		t.Run(algo, func(t *testing.T) {
 			const arms = 5

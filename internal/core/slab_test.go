@@ -15,13 +15,11 @@ func slabPolicies() map[string]Config {
 		return Config{Arms: 6, Policy: p, Normalize: true, RRRestartProb: rrProb, Seed: 99}
 	}
 	return map[string]Config{
-		"eps":        mk(NewEpsilonGreedy(0.1), 0),
-		"ucb":        mk(NewUCB(PrefetchC), 0),
-		"ducb":       mk(NewDUCB(PrefetchC, PrefetchGamma), 0),
-		"ducb+rr":    mk(NewDUCB(PrefetchC, PrefetchGamma), 0.05),
-		"thompson":   mk(NewThompson(0.3), 0),
-		"d-thompson": mk(NewDiscountedThompson(0.3, 0.98), 0),
-		"static":     mk(NewStatic(3), 0),
+		"eps":     mk(NewEpsilonGreedy(0.1), 0),
+		"ucb":     mk(NewUCB(PrefetchC), 0),
+		"ducb":    mk(NewDUCB(PrefetchC, PrefetchGamma), 0),
+		"ducb+rr": mk(NewDUCB(PrefetchC, PrefetchGamma), 0.05),
+		"static":  mk(NewStatic(3), 0),
 	}
 }
 
@@ -189,7 +187,7 @@ func TestBatchKernelsMatchScalarLoop(t *testing.T) {
 			cfg.Policy = NewEpsilonGreedy(0.1)
 		}
 		if i%3 == 2 {
-			cfg.Policy = NewThompson(0.25)
+			cfg.Policy = NewUCB(0.25)
 		}
 		_, slot, err := sl.Alloc(cfg)
 		if err != nil {
@@ -229,8 +227,8 @@ func clonePolicy(t *testing.T, p Policy) Policy {
 		return NewDUCB(p.C, p.Gamma)
 	case *EpsilonGreedy:
 		return NewEpsilonGreedy(p.Epsilon)
-	case *Thompson:
-		return &Thompson{Sigma: p.Sigma, Gamma: p.Gamma}
+	case *UCB:
+		return NewUCB(p.C)
 	default:
 		t.Fatalf("clonePolicy: unhandled %T", p)
 		return nil

@@ -62,7 +62,6 @@ const (
 	policyStatic   = "static"
 	policySingle   = "single"
 	policyPeriodic = "periodic"
-	policyThompson = "thompson"
 )
 
 // movingAvgState is the serialized form of a Periodic moving-average
@@ -85,8 +84,7 @@ type PolicySnapshot struct {
 	// Hyperparameters (which apply depends on Kind).
 	Epsilon float64 `json:"epsilon,omitempty"` // eps
 	C       float64 `json:"c,omitempty"`       // ucb, ducb
-	Gamma   float64 `json:"gamma,omitempty"`   // ducb, thompson
-	Sigma   float64 `json:"sigma,omitempty"`   // thompson
+	Gamma   float64 `json:"gamma,omitempty"`   // ducb
 	Arm     int     `json:"arm,omitempty"`     // static
 
 	// Periodic configuration.
@@ -116,8 +114,6 @@ func snapshotPolicy(p Policy) (PolicySnapshot, error) {
 		return PolicySnapshot{Kind: policyDUCB, C: p.C, Gamma: p.Gamma}, nil
 	case *Static:
 		return PolicySnapshot{Kind: policyStatic, Arm: p.Arm}, nil
-	case *Thompson:
-		return PolicySnapshot{Kind: policyThompson, Sigma: p.Sigma, Gamma: p.Gamma}, nil
 	case *Single:
 		return PolicySnapshot{Kind: policySingle, Chosen: p.chosen}, nil
 	case *Periodic:
@@ -158,8 +154,6 @@ func restorePolicy(s PolicySnapshot, arms int) (Policy, error) {
 			return nil, snapErrf("static arm %d outside [0,%d)", s.Arm, arms)
 		}
 		return NewStatic(s.Arm), nil
-	case policyThompson:
-		return &Thompson{Sigma: s.Sigma, Gamma: s.Gamma}, nil
 	case policySingle:
 		if s.Chosen < -1 || s.Chosen >= arms {
 			return nil, snapErrf("single chosen arm %d outside [-1,%d)", s.Chosen, arms)
@@ -209,13 +203,12 @@ type AgentSnapshot struct {
 	V int `json:"v"`
 
 	// Config.
-	Arms              int            `json:"arms"`
-	Policy            PolicySnapshot `json:"policy"`
-	Normalize         bool           `json:"normalize,omitempty"`
-	RRRestartProb     float64        `json:"rr_restart_prob,omitempty"`
-	Seed              uint64         `json:"seed"`
-	RecordTrace       bool           `json:"record_trace,omitempty"`
-	HardwarePrecision bool           `json:"hardware_precision,omitempty"`
+	Arms          int            `json:"arms"`
+	Policy        PolicySnapshot `json:"policy"`
+	Normalize     bool           `json:"normalize,omitempty"`
+	RRRestartProb float64        `json:"rr_restart_prob,omitempty"`
+	Seed          uint64         `json:"seed"`
+	RecordTrace   bool           `json:"record_trace,omitempty"`
 
 	// Learned state.
 	R      []float64 `json:"rtable"`
@@ -242,26 +235,25 @@ func (a *Agent) Snapshot() (*AgentSnapshot, error) {
 		return nil, err
 	}
 	return &AgentSnapshot{
-		V:                 SnapshotVersion,
-		Arms:              a.cfg.Arms,
-		Policy:            ps,
-		Normalize:         a.cfg.Normalize,
-		RRRestartProb:     a.cfg.RRRestartProb,
-		Seed:              a.cfg.Seed,
-		RecordTrace:       a.cfg.RecordTrace,
-		HardwarePrecision: a.cfg.HardwarePrecision,
-		R:                 append([]float64(nil), a.tables.R...),
-		N:                 append([]float64(nil), a.tables.N...),
-		NTotal:            a.tables.NTotal,
-		Steps:             a.steps,
-		CurrentArm:        a.currentArm,
-		InStep:            a.inStep,
-		Forced:            append([]int(nil), a.forced...),
-		RAvg:              a.rAvg,
-		Normalized:        a.normalized,
-		Restarts:          a.restarts,
-		Trace:             append([]int(nil), a.trace...),
-		RNG:               a.rng.State(),
+		V:             SnapshotVersion,
+		Arms:          a.cfg.Arms,
+		Policy:        ps,
+		Normalize:     a.cfg.Normalize,
+		RRRestartProb: a.cfg.RRRestartProb,
+		Seed:          a.cfg.Seed,
+		RecordTrace:   a.cfg.RecordTrace,
+		R:             append([]float64(nil), a.tables.R...),
+		N:             append([]float64(nil), a.tables.N...),
+		NTotal:        a.tables.NTotal,
+		Steps:         a.steps,
+		CurrentArm:    a.currentArm,
+		InStep:        a.inStep,
+		Forced:        append([]int(nil), a.forced...),
+		RAvg:          a.rAvg,
+		Normalized:    a.normalized,
+		Restarts:      a.restarts,
+		Trace:         append([]int(nil), a.trace...),
+		RNG:           a.rng.State(),
 	}, nil
 }
 
@@ -339,13 +331,12 @@ func RestoreAgentIn(sl *Slab, s *AgentSnapshot) (*Agent, int, error) {
 		return nil, -1, err
 	}
 	a, slot, err := sl.Alloc(Config{
-		Arms:              s.Arms,
-		Policy:            policy,
-		Normalize:         s.Normalize,
-		RRRestartProb:     s.RRRestartProb,
-		Seed:              s.Seed,
-		RecordTrace:       s.RecordTrace,
-		HardwarePrecision: s.HardwarePrecision,
+		Arms:          s.Arms,
+		Policy:        policy,
+		Normalize:     s.Normalize,
+		RRRestartProb: s.RRRestartProb,
+		Seed:          s.Seed,
+		RecordTrace:   s.RecordTrace,
 	})
 	if err != nil {
 		return nil, -1, err

@@ -14,14 +14,12 @@ import (
 // policy, keyed by a display name.
 func snapshotPolicies() map[string]func() Policy {
 	return map[string]func() Policy{
-		"eps":        func() Policy { return NewEpsilonGreedy(0.1) },
-		"ucb":        func() Policy { return NewUCB(0.04) },
-		"ducb":       func() Policy { return NewDUCB(PrefetchC, PrefetchGamma) },
-		"static":     func() Policy { return NewStatic(2) },
-		"single":     func() Policy { return NewSingle() },
-		"periodic":   func() Policy { return NewPeriodic(5, 3) },
-		"thompson":   func() Policy { return NewThompson(0.3) },
-		"d-thompson": func() Policy { return NewDiscountedThompson(0.3, 0.98) },
+		"eps":      func() Policy { return NewEpsilonGreedy(0.1) },
+		"ucb":      func() Policy { return NewUCB(0.04) },
+		"ducb":     func() Policy { return NewDUCB(PrefetchC, PrefetchGamma) },
+		"static":   func() Policy { return NewStatic(2) },
+		"single":   func() Policy { return NewSingle() },
+		"periodic": func() Policy { return NewPeriodic(5, 3) },
 	}
 }
 
@@ -90,7 +88,6 @@ func TestSnapshotRestoreContinuation(t *testing.T) {
 				cfg := Config{
 					Arms: 4, Policy: mk(), Normalize: true,
 					RRRestartProb: 0.02, Seed: 7, RecordTrace: true,
-					HardwarePrecision: prefix%2 == 0,
 				}
 				orig := MustNew(cfg)
 				drive(orig, 0, prefix)
@@ -267,11 +264,14 @@ func TestRestoreTypedErrors(t *testing.T) {
 	})
 
 	t.Run("unknown policy", func(t *testing.T) {
-		s := *snap
-		s.Policy = PolicySnapshot{Kind: "gradient-bandit"}
-		var se *SnapshotError
-		if _, err := RestoreAgent(&s); !errors.As(err, &se) {
-			t.Fatalf("want *SnapshotError, got %v", err)
+		// "thompson" is a removed kind: a snapshot naming it is refused.
+		for _, kind := range []string{"gradient-bandit", "thompson"} {
+			s := *snap
+			s.Policy = PolicySnapshot{Kind: kind}
+			var se *SnapshotError
+			if _, err := RestoreAgent(&s); !errors.As(err, &se) {
+				t.Fatalf("%s: want *SnapshotError, got %v", kind, err)
+			}
 		}
 	})
 
@@ -371,6 +371,10 @@ func FuzzAgentSnapshotCodec(f *testing.F) {
 			f.Add(flipped) // one damaged byte
 		}
 	}
+	// Removed features: the Thompson policy kind is refused, and its sigma
+	// hyperparameter is an unknown field, ignored on any other kind.
+	f.Add([]byte(`{"v":1,"arms":2,"policy":{"kind":"thompson","sigma":0.04,"gamma":0.999},"seed":1,"rtable":[0,0],"ntable":[0,0],"ntotal":0,"steps":0,"current_arm":0,"rng":[1,2,3,4]}`))
+	f.Add([]byte(`{"v":1,"arms":2,"policy":{"kind":"ducb","c":0.04,"gamma":0.999,"sigma":0.04},"seed":1,"rtable":[0.5,0.25],"ntable":[1,1],"ntotal":2,"steps":2,"current_arm":1,"rng":[1,2,3,4]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := RestoreAgentJSON(data)

@@ -147,15 +147,6 @@ func (c *Core) Phase() int {
 // lean pass (the fast-forward coverage numerator).
 func (c *Core) FFInsts() int64 { return c.ffInsts }
 
-// ChunkCacheStats reports the trace source's memoized-chunk hit/miss
-// counts when the source is cache-backed, else zeros.
-func (c *Core) ChunkCacheStats() (hits, misses int64) {
-	if cs, ok := c.gen.(trace.CacheStatser); ok {
-		return cs.CacheStats()
-	}
-	return 0, 0
-}
-
 // Insts returns the number of simulated instructions.
 func (c *Core) Insts() int64 { return c.insts }
 

@@ -83,12 +83,11 @@ type Runner struct {
 	Obs      obs.Recorder
 	ObsEvery int
 
-	// ObsSimCounters additionally emits simulator-effectiveness fields on
-	// each interval: the chunk-cache hit rate (when the trace source is
-	// cache-backed) and the fast-forward coverage. Off by default so
-	// recorded telemetry streams stay byte-identical with builds that
-	// predate the fields; the -sim-fields flag of mab-prefetch and
-	// mab-trace replay turns it on.
+	// ObsSimCounters additionally emits the simulator-effectiveness
+	// field ff_coverage (fast-forward coverage) on each interval. Off by
+	// default so recorded telemetry streams stay byte-identical with
+	// builds that predate the field; the -sim-fields flag of
+	// mab-prefetch and mab-trace replay turns it on.
 	ObsSimCounters bool
 
 	obsSteps int64 // completed telemetry windows
@@ -108,10 +107,9 @@ type obsBaseline struct {
 	class         mem.Classification
 	busy          float64
 
-	// Simulator-effectiveness counters (only consumed when
-	// ObsSimCounters is set).
-	ff                     int64
-	cacheHits, cacheMisses int64
+	// Fast-forwarded instructions (only consumed when ObsSimCounters
+	// is set).
+	ff int64
 }
 
 // ArmSample is one entry of the exploration trace (Fig. 7).
@@ -342,7 +340,6 @@ func (r *Runner) obsWindow(cycle int64) {
 	}
 	if r.ObsSimCounters {
 		cur.ff = r.Core.FFInsts()
-		cur.cacheHits, cur.cacheMisses = r.Core.ChunkCacheStats()
 	}
 	last := r.obsLast
 	r.obsLast = cur
@@ -370,11 +367,7 @@ func (r *Runner) obsWindow(cycle int64) {
 		Set(obs.FieldPrefCoverage, ratio(dTimely, dTimely+dMisses)).
 		Set(obs.FieldDRAMBWUtil, bwUtil)
 	if r.ObsSimCounters {
-		dHits := float64(cur.cacheHits - last.cacheHits)
-		dMiss := float64(cur.cacheMisses - last.cacheMisses)
-		fields.
-			Set(obs.FieldChunkHitRate, ratio(dHits, dHits+dMiss)).
-			Set(obs.FieldFFCoverage, ratio(float64(cur.ff-last.ff), dInsts))
+		fields.Set(obs.FieldFFCoverage, ratio(float64(cur.ff-last.ff), dInsts))
 	}
 	r.Obs.Record(obs.Event{Kind: obs.KindInterval, Step: r.obsSteps, Cycle: cycle, Fields: fields})
 }

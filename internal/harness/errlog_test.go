@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -27,25 +25,5 @@ func TestRenderFailuresNewlineSafe(t *testing.T) {
 	}
 	if !strings.Contains(out, `"panic: bad state\ngoroutine 7 [running]:\nmain.go:12"`) {
 		t.Errorf("multi-line error not quoted:\n%s", out)
-	}
-}
-
-// TestFailuresCSVParseable: the CSV form routes panic text through the
-// shared quoting helper and round-trips through encoding/csv.
-func TestFailuresCSVParseable(t *testing.T) {
-	fails := []JobFailure{
-		{Job: 3, Err: errors.New("boom, with commas\nand a newline")},
-	}
-	out := FailuresCSV(fails)
-	rows, err := csv.NewReader(strings.NewReader(out)).ReadAll()
-	if err != nil {
-		t.Fatalf("FailuresCSV output does not parse: %v\n%s", err, out)
-	}
-	want := [][]string{
-		{"job", "error"},
-		{"3", "boom, with commas\nand a newline"},
-	}
-	if !reflect.DeepEqual(rows, want) {
-		t.Fatalf("rows:\n got %q\nwant %q", rows, want)
 	}
 }

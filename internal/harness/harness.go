@@ -147,9 +147,11 @@ func (o Options) noteSim(c *cpu.Core) {
 	}
 	o.SimCounters.Insts.Add(c.Insts())
 	o.SimCounters.FF.Add(c.FFInsts())
-	h, m := c.ChunkCacheStats()
-	o.SimCounters.Hits.Add(h)
-	o.SimCounters.Misses.Add(m)
+	if cs, ok := c.Gen().(trace.CacheStatser); ok {
+		h, m := cs.CacheStats()
+		o.SimCounters.Hits.Add(h)
+		o.SimCounters.Misses.Add(m)
+	}
 }
 
 // ctx resolves the engine context for simulation runners.

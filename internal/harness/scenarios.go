@@ -55,15 +55,6 @@ type ScenariosResult struct {
 	Blocks []ScenarioBlock
 }
 
-// Scenarios runs every registered scenario.
-func Scenarios(o Options) ScenariosResult {
-	res, err := ScenariosWith(o, scenario.Names())
-	if err != nil {
-		panic(err) // registry names are always valid
-	}
-	return res
-}
-
 // ScenariosWith runs the named scenarios (the CLI's -scenario filter).
 // Unknown names return the registry's error listing the valid ones.
 func ScenariosWith(o Options, names []string) (ScenariosResult, error) {

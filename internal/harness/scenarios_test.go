@@ -108,7 +108,10 @@ func TestScenariosCSVCoversAll(t *testing.T) {
 	}
 	o := smokeScenarios()
 	o.Workers = 4
-	r := Scenarios(o)
+	r, err := ScenariosWith(o, scenario.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Blocks) != len(scenario.Names()) {
 		t.Fatalf("result has %d blocks, want %d", len(r.Blocks), len(scenario.Names()))
 	}

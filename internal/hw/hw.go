@@ -15,9 +15,11 @@ import "fmt"
 
 // Storage sizes in bytes of the paper's table of comparisons (§7.2.1).
 const (
-	// BytesPerArm is the per-arm storage of the Bandit agent: a
-	// single-precision float for the running reward plus an unsigned
-	// integer for the (discounted) selection count.
+	// BytesPerArm is the per-arm storage of the paper's Bandit agent
+	// (§5.4): a single-precision float for the running reward plus an
+	// unsigned integer for the (discounted) selection count. It is the
+	// paper's format, taken as a constant: the simulated agent's
+	// core.Tables hold two float64s per arm, 16 B (176 B at 11 arms).
 	BytesPerArm = 8
 
 	// PythiaStorageBytes is Pythia's state-action value storage (25.5 KB

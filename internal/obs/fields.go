@@ -14,8 +14,7 @@ type FieldKey uint8
 // Field keys, in the alphabetical order of their wire names (the order
 // encoding/json gives sorted map keys, which the JSONL codec preserves).
 const (
-	FieldChunkHitRate FieldKey = iota // chunk_hit_rate
-	FieldDRAMBWUtil                   // dram_bw_util
+	FieldDRAMBWUtil   FieldKey = iota // dram_bw_util
 	FieldFFCoverage                   // ff_coverage
 	FieldIPC                          // ipc
 	FieldIPC0                         // ipc0
@@ -30,7 +29,6 @@ const (
 
 // fieldNames are the wire names, indexed by FieldKey.
 var fieldNames = [numFieldKeys]string{
-	"chunk_hit_rate",
 	"dram_bw_util",
 	"ff_coverage",
 	"ipc",

@@ -126,6 +126,11 @@ func (st *Store) restoreSession(ck sessionCheckpoint) error {
 		if err = json.Unmarshal(ck.Agent, &snap); err != nil {
 			return &CheckpointError{Reason: fmt.Sprintf("session %s: decode agent: %v", ck.ID, err)}
 		}
+		// An agent session's policy kind is the registry name that built
+		// it, as a contextual session's base is checked below.
+		if snap.Policy.Kind != spec.Algo {
+			return &CheckpointError{Reason: fmt.Sprintf("session %s: agent policy %q does not serve spec algo %q", ck.ID, snap.Policy.Kind, spec.Algo)}
+		}
 		// The spec's arm count sizes the slab; a snapshot of another
 		// shape fails the slab's own arm check.
 		chunk = st.lockedChunkFor(sh, spec.Arms)

@@ -325,6 +325,9 @@ func TestRestoreCheckpointTypedErrors(t *testing.T) {
 		{"fixed arm out of range", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":9}]}`)},
 		{"agent payload garbage", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1}}]}`)},
 		{"meta low arms huge", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"meta_pairs":[[0.5,0.99],[1,0.999]]},"kind":"meta","agent":{"v":1,"high":{"v":1,"arms":2,"policy":{"kind":"ucb"},"seed":1,"rtable":[0,0],"ntable":[0,0],"ntotal":0,"steps":0,"current_arm":0,"rng":[1,2,3,4]},"lows":[{"v":1,"arms":4611686018427387904},{"v":1,"arms":2}],"labels":["a","b"],"current":0}}]}`)},
+		{"thompson policy", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2},"kind":"agent","agent":{"v":1,"arms":2,"policy":{"kind":"thompson","sigma":0.04,"gamma":0.999},"normalize":true,"seed":1,"rtable":[0,0],"ntable":[0,0],"ntotal":0,"steps":0,"current_arm":0,"forced":[0,1],"rng":[1,2,3,4]}}]}`)},
+		{"ctx-thompson spec", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"ctx-thompson"},"kind":"ctx","agent":{"v":1,"arms":2,"algo":"ducb","seed":1,"steps":0,"contexts":[]}}]}`)},
+		{"ctx thompson base", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"ctx-ducb"},"kind":"ctx","agent":{"v":1,"arms":2,"algo":"thompson","seed":1,"steps":0,"contexts":[]}}]}`)},
 		{"open arm out of range", []byte(`{"v":3,"next_id":1,"sessions":[{"id":"s-1","spec":{"arms":2,"algo":"static:0"},"kind":"fixed","fixed_arm":0,"open":true,"arm":7}]}`)},
 		{"duplicate id", dupSessionCheckpoint(t, good)},
 	}

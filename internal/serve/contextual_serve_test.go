@@ -106,7 +106,7 @@ func TestContextualSessionMatchesCoreAgent(t *testing.T) {
 func TestContextualStepBadRequests(t *testing.T) {
 	srv := New(Config{})
 	var ctxCr, plainCr createResponse
-	do(t, srv, "POST", "/v1/sessions", `{"algo":"linucb","arms":3,"seed":1}`, http.StatusCreated, &ctxCr)
+	do(t, srv, "POST", "/v1/sessions", `{"algo":"ctx-ducb","arms":3,"seed":1}`, http.StatusCreated, &ctxCr)
 	do(t, srv, "POST", "/v1/sessions", `{"algo":"ducb","arms":3,"seed":1}`, http.StatusCreated, &plainCr)
 
 	cases := []struct {
@@ -146,20 +146,19 @@ func TestContextualSpecValidation(t *testing.T) {
 		fmt.Sprintf(`{"algo":"ctx-ducb","arms":3,"max_contexts":%d}`, core.MaxMaxContexts+1),
 		`{"algo":"ctx-ducb","arms":3,"max_contexts":-1}`,
 		`{"algo":"ctx-ducb","arms":3,"meta_pairs":[[0.5,0.99]]}`,
+		`{"algo":"linucb","arms":3,"max_contexts":2}`,
+		`{"algo":"ctx-thompson","arms":3}`,
 	}
 	for _, body := range bad {
 		if code := errCode(t, srv, "POST", "/v1/sessions", body, http.StatusBadRequest); code != CodeBadRequest {
 			t.Fatalf("%s: code %q, want %q", body, code, CodeBadRequest)
 		}
 	}
-	for _, algo := range []string{"ctx-ducb", "linucb", "ctx-thompson"} {
-		var cr createResponse
-		do(t, srv, "POST", "/v1/sessions",
-			fmt.Sprintf(`{"algo":%q,"arms":3,"seed":5,"max_contexts":2}`, algo),
-			http.StatusCreated, &cr)
-		if cr.Arms != 3 {
-			t.Fatalf("%s: create = %+v", algo, cr)
-		}
+	var cr createResponse
+	do(t, srv, "POST", "/v1/sessions", `{"algo":"ctx-ducb","arms":3,"seed":5,"max_contexts":2}`,
+		http.StatusCreated, &cr)
+	if cr.Arms != 3 {
+		t.Fatalf("ctx-ducb: create = %+v", cr)
 	}
 }
 
@@ -267,8 +266,8 @@ func TestBatchContextErrors(t *testing.T) {
 func TestContextualCheckpointRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{Algo: "ctx-ducb", Arms: 4, Seed: 41, MaxContexts: 3},
-		{Algo: "linucb", Arms: 3, Seed: 42},
-		{Algo: "ctx-thompson", Arms: 5, Seed: 43},
+		{Algo: "ctx-ducb", Arms: 3, Seed: 42},
+		{Algo: "ctx-ducb", Arms: 5, Seed: 43},
 	}
 	st := NewStore(2)
 	var ids []string
@@ -458,7 +457,19 @@ func TestRestoreContextualSkew(t *testing.T) {
 			ck.Spec.Algo = "ducb"
 			ck.Spec.MaxContexts = 0
 		}},
-		{"base algo skew", func(f *checkpointFile) { find(f).Spec.Algo = "linucb" }},
+		{"base algo skew", func(f *checkpointFile) {
+			ck := find(f)
+			var snap core.ContextualAgentSnapshot
+			if err := json.Unmarshal(ck.Agent, &snap); err != nil {
+				t.Fatal(err)
+			}
+			snap.Algo = "ucb"
+			var err error
+			if ck.Agent, err = json.Marshal(&snap); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"spec algo removed", func(f *checkpointFile) { find(f).Spec.Algo = "ctx-thompson" }},
 		{"open flag skew", func(f *checkpointFile) {
 			ck := find(f)
 			ck.Open = true
@@ -537,6 +548,18 @@ func TestRestoreAgentSpecSkew(t *testing.T) {
 			ID: "skew-closed", Spec: Spec{Algo: "ducb", Arms: 3, Seed: 3},
 			Kind: ckptAgent, Agent: snapJSON(3, false), Open: true, Arm: 1,
 		}), "skew-closed")
+	})
+	t.Run("algo skew", func(t *testing.T) {
+		wantCheckpointError(t, file(sessionCheckpoint{
+			ID: "skew-algo", Spec: Spec{Algo: "ucb", Arms: 3, Seed: 3},
+			Kind: ckptAgent, Agent: snapJSON(3, false),
+		}), "skew-algo")
+	})
+	t.Run("removed algo", func(t *testing.T) {
+		wantCheckpointError(t, file(sessionCheckpoint{
+			ID: "skew-thompson", Spec: Spec{Algo: "thompson", Arms: 3, Seed: 3},
+			Kind: ckptAgent, Agent: snapJSON(3, false),
+		}), "skew-thompson")
 	})
 	t.Run("valid record restores", func(t *testing.T) {
 		st, err := RestoreCheckpoint(file(sessionCheckpoint{

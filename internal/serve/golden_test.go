@@ -30,7 +30,7 @@ func goldenSpecs() []Spec {
 		{Arms: 3, Seed: 7, MetaPairs: [][2]float64{{0.5, 0.99}, {1.0, 0.999}}},
 		{Algo: "static:2", Arms: 4, Seed: 8},
 		{Algo: "ctx-ducb", Arms: 4, Seed: 9, MaxContexts: 4},
-		{Algo: "ctx-thompson", Arms: 3, Seed: 10},
+		{Algo: "ctx-ducb", Arms: 3, Seed: 10},
 		{Algo: "periodic", Arms: 4, Seed: 11, Faults: "noise:0.3"},
 	}
 }

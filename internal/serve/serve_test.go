@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"microbandit/internal/core"
 	"microbandit/internal/obs"
 )
 
@@ -129,7 +130,6 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"POST", "/v1/sessions", `{not json`, http.StatusBadRequest, CodeBadRequest},
 		{"POST", "/v1/sessions", `{"arms":0}`, http.StatusBadRequest, CodeBadRequest},
-		{"POST", "/v1/sessions", `{"arms":2,"algo":"nope"}`, http.StatusBadRequest, CodeBadRequest},
 		{"POST", "/v1/sessions", `{"arms":2} trailing`, http.StatusBadRequest, CodeBadRequest},
 		{"POST", "/v1/sessions", `{"arms":2,"faults":"stuckarm:1"}`, http.StatusBadRequest, CodeBadRequest},
 		{"GET", "/v1/sessions/s-deadbeef", "", http.StatusNotFound, CodeNotFound},
@@ -141,6 +141,15 @@ func TestBadRequests(t *testing.T) {
 	for _, c := range cases {
 		if code := errCode(t, srv, c.method, c.path, c.body, c.status); code != c.code {
 			t.Errorf("%s %s: code %q, want %q", c.method, c.path, code, c.code)
+		}
+	}
+	// Unknown and removed algorithm names are refused with the valid list.
+	valid := strings.Join(core.AlgoNames(), ", ")
+	for _, algo := range []string{"nope", "thompson", "linucb", "ctx-thompson"} {
+		var eb errorBody
+		do(t, srv, "POST", "/v1/sessions", fmt.Sprintf(`{"arms":2,"algo":%q}`, algo), http.StatusBadRequest, &eb)
+		if eb.Error.Code != CodeBadRequest || !strings.Contains(eb.Error.Message, valid) {
+			t.Errorf("algo %q: error %+v, want %q listing %q", algo, eb.Error, CodeBadRequest, valid)
 		}
 	}
 }

@@ -42,8 +42,8 @@ type Spec struct {
 	// memory system or workload to fault.
 	Faults string `json:"faults,omitempty"`
 	// MaxContexts bounds the live-context count of a contextual session
-	// (Algo "ctx-ducb", "linucb", "ctx-thompson"); 0 means the core
-	// default. Rejected for non-contextual algorithms.
+	// (Algo "ctx-ducb"); 0 means the core default. Rejected for
+	// non-contextual algorithms.
 	MaxContexts int `json:"max_contexts,omitempty"`
 	// Scenario names the decision scenario this session serves arms for
 	// (scenario.Names: "prefetch", "dramsched", ...). Purely descriptive
@@ -53,13 +53,6 @@ type Spec struct {
 	// bind to the wrong decision space. Unknown names are rejected with
 	// the valid list.
 	Scenario string `json:"scenario,omitempty"`
-}
-
-// isContextualAlgo reports whether name denotes a signature-keyed
-// contextual algorithm.
-func isContextualAlgo(name string) bool {
-	_, ok := core.ContextualBase(name)
-	return ok
 }
 
 // rewardChannelKinds are the fault kinds a served session can realize.
@@ -104,7 +97,7 @@ func (sp Spec) Validate() error {
 	_, contextual := core.ContextualBase(sp.Algo)
 	if sp.MaxContexts != 0 {
 		if !contextual {
-			return fmt.Errorf("max_contexts applies only to contextual algorithms (ctx-ducb, linucb, ctx-thompson), not %q", sp.Algo)
+			return fmt.Errorf("max_contexts applies only to the contextual algorithm ctx-ducb, not %q", sp.Algo)
 		}
 		if sp.MaxContexts < 0 || sp.MaxContexts > core.MaxMaxContexts {
 			return fmt.Errorf("max_contexts %d outside [1, %d]", sp.MaxContexts, core.MaxMaxContexts)
@@ -139,6 +132,7 @@ func buildController(sp Spec, alloc func(core.Config) (*core.Agent, error)) (age
 	if err := sp.Validate(); err != nil {
 		return nil, nil, err
 	}
+	base, contextual := core.ContextualBase(sp.Algo)
 	switch {
 	case len(sp.MetaPairs) >= 2:
 		m, err := core.NewDUCBSweepMeta(sp.Arms, sp.MetaPairs, true, sp.Seed)
@@ -152,8 +146,7 @@ func buildController(sp Spec, alloc func(core.Config) (*core.Agent, error)) (age
 			return nil, nil, err
 		}
 		agent = c
-	case isContextualAlgo(sp.Algo):
-		base, _ := core.ContextualBase(sp.Algo)
+	case contextual:
 		c, err := core.NewContextualAgent(core.ContextualConfig{
 			Arms: sp.Arms, Algo: base, Seed: sp.Seed, MaxContexts: sp.MaxContexts,
 		})

@@ -29,52 +29,6 @@ func (s *Series) Append(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// barFull is the glyph used for horizontal bar segments.
-const barFull = '#'
-
-// BarChart renders labeled horizontal bars for values, scaled so the
-// largest magnitude spans width characters. Labels and values are printed
-// alongside. Negative values render with a leading '-' region.
-func BarChart(title string, labels []string, values []float64, width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	maxAbs := 0.0
-	for _, v := range values {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	labelW := 0
-	for _, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title)
-		b.WriteByte('\n')
-	}
-	for i, v := range values {
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		n := 0
-		if maxAbs > 0 {
-			n = int(math.Round(math.Abs(v) / maxAbs * float64(width)))
-		}
-		bar := strings.Repeat(string(barFull), n)
-		sign := " "
-		if v < 0 {
-			sign = "-"
-		}
-		fmt.Fprintf(&b, "%-*s %s%-*s %8.3f\n", labelW, label, sign, width, bar, v)
-	}
-	return b.String()
-}
-
 // LinePlot renders a crude scatter/line plot of one or more series on a
 // rows x cols character grid, with per-series glyphs. It is meant for
 // eyeballing figure shapes (e.g. the sorted mix-speedup curve of Fig. 13 or

@@ -80,20 +80,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	v := 0.0
-	for _, x := range xs {
-		d := x - m
-		v += d * d
-	}
-	return math.Sqrt(v / float64(len(xs)))
-}
-
 // Median returns the median of xs (the average of the two middle elements
 // for even lengths), or 0 for an empty slice. xs is not modified.
 func Median(xs []float64) float64 {
@@ -180,84 +166,3 @@ func (s Summary) String() string {
 // SpeedupPercent converts a ratio r into the "+x%" convention the paper
 // uses: 1.026 -> 2.6.
 func SpeedupPercent(r float64) float64 { return (r - 1) * 100 }
-
-// ArgMax returns the index of the maximum element of xs, breaking ties in
-// favor of the lowest index. It returns -1 for an empty slice.
-func ArgMax(xs []float64) int {
-	best := -1
-	bestV := math.Inf(-1)
-	for i, x := range xs {
-		if x > bestV {
-			bestV = x
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the minimum element of xs, breaking ties in
-// favor of the lowest index. It returns -1 for an empty slice.
-func ArgMin(xs []float64) int {
-	best := -1
-	bestV := math.Inf(1)
-	for i, x := range xs {
-		if x < bestV {
-			bestV = x
-			best = i
-		}
-	}
-	return best
-}
-
-// MovingAverage is a fixed-window moving average, mirroring the moving
-// average buffer the paper borrows from the POWER7 adaptive prefetcher for
-// the Periodic heuristic. The zero value is not usable; construct with
-// NewMovingAverage.
-type MovingAverage struct {
-	buf  []float64
-	next int
-	n    int
-	sum  float64
-}
-
-// NewMovingAverage returns a moving average over a window of size. It
-// panics if size <= 0.
-func NewMovingAverage(size int) *MovingAverage {
-	if size <= 0 {
-		panic("stats: moving average window must be positive")
-	}
-	return &MovingAverage{buf: make([]float64, size)}
-}
-
-// Push adds x to the window, evicting the oldest sample when full.
-func (m *MovingAverage) Push(x float64) {
-	if m.n == len(m.buf) {
-		m.sum -= m.buf[m.next]
-	} else {
-		m.n++
-	}
-	m.buf[m.next] = x
-	m.sum += x
-	m.next = (m.next + 1) % len(m.buf)
-}
-
-// Value returns the current average, or 0 when no samples have been pushed.
-func (m *MovingAverage) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// Len returns the number of samples currently in the window.
-func (m *MovingAverage) Len() int { return m.n }
-
-// Reset empties the window.
-func (m *MovingAverage) Reset() {
-	m.n = 0
-	m.next = 0
-	m.sum = 0
-	for i := range m.buf {
-		m.buf[i] = 0
-	}
-}

@@ -61,12 +61,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEq(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestMedianPercentile(t *testing.T) {
 	xs := []float64{5, 1, 3}
 	if got := Median(xs); got != 3 {
@@ -132,47 +126,6 @@ func TestSpeedupPercent(t *testing.T) {
 	}
 }
 
-func TestArgMaxArgMin(t *testing.T) {
-	xs := []float64{1, 5, 5, 0}
-	if ArgMax(xs) != 1 {
-		t.Errorf("ArgMax = %d, want 1 (first of ties)", ArgMax(xs))
-	}
-	if ArgMin(xs) != 3 {
-		t.Errorf("ArgMin = %d", ArgMin(xs))
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Error("empty ArgMax/ArgMin != -1")
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	m := NewMovingAverage(3)
-	if m.Value() != 0 || m.Len() != 0 {
-		t.Error("fresh moving average not empty")
-	}
-	m.Push(3)
-	if m.Value() != 3 {
-		t.Errorf("Value = %v", m.Value())
-	}
-	m.Push(6)
-	m.Push(9)
-	if m.Value() != 6 {
-		t.Errorf("Value = %v, want 6", m.Value())
-	}
-	m.Push(12) // evicts 3
-	if m.Value() != 9 {
-		t.Errorf("Value = %v, want 9", m.Value())
-	}
-	if m.Len() != 3 {
-		t.Errorf("Len = %d", m.Len())
-	}
-	m.Reset()
-	if m.Value() != 0 || m.Len() != 0 {
-		t.Error("Reset did not clear")
-	}
-	assertPanics(t, func() { NewMovingAverage(0) })
-}
-
 // Property: geometric mean lies between min and max for positive inputs.
 func TestQuickGeoMeanBounds(t *testing.T) {
 	f := func(raw []uint16) bool {
@@ -206,29 +159,6 @@ func TestQuickGeoMeanScaling(t *testing.T) {
 		}
 		a, b := GeoMean(scaled), k*GeoMean(xs)
 		return almostEq(a, b, 1e-6*math.Max(1, b))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: moving average always lies between min and max of the window
-// contents (here approximated by min/max of everything pushed).
-func TestQuickMovingAverageBounds(t *testing.T) {
-	f := func(raw []int16, sizeRaw uint8) bool {
-		size := int(sizeRaw%16) + 1
-		m := NewMovingAverage(size)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range raw {
-			x := float64(v)
-			m.Push(x)
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-			if m.Value() < lo-1e-9 || m.Value() > hi+1e-9 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

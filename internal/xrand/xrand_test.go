@@ -200,39 +200,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(13)
-	const draws = 200000
-	sum := 0.0
-	for i := 0; i < draws; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64() = %v < 0", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1) > 0.05 {
-		t.Errorf("exp mean = %v, want ~1", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(17)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestGeometric(t *testing.T) {
 	r := New(19)
 	if got := r.Geometric(1); got != 0 {
@@ -247,20 +214,6 @@ func TestGeometric(t *testing.T) {
 	want := (1 - p) / p // mean of failures-before-success geometric
 	if math.Abs(mean-want) > 0.1*want {
 		t.Errorf("geometric mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestForkDecorrelated(t *testing.T) {
-	parent := New(23)
-	child := parent.Fork()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("fork produced %d identical outputs in 100 draws", same)
 	}
 }
 
