@@ -53,8 +53,6 @@ type (
 	UCB = core.UCB
 	// DUCB is the Discounted UCB algorithm (Table 3c) — the paper's choice.
 	DUCB = core.DUCB
-	// Static always selects a fixed arm (the best-static oracle's block).
-	Static = core.Static
 	// Single locks the best round-robin arm forever (§7.1 heuristic).
 	Single = core.Single
 	// Periodic alternates sweeps and exploitation (§7.1 heuristic).
@@ -88,8 +86,6 @@ var (
 	// NewDUCB returns a DUCB policy with exploration constant c and
 	// forgetting factor gamma.
 	NewDUCB = core.NewDUCB
-	// NewStatic returns a policy pinned to one arm.
-	NewStatic = core.NewStatic
 	// NewSingle returns the Single heuristic.
 	NewSingle = core.NewSingle
 	// NewPeriodic returns the Periodic heuristic.

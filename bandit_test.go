@@ -63,7 +63,6 @@ func TestFacadeControllers(t *testing.T) {
 	}
 	var _ microbandit.Policy = microbandit.NewSingle()
 	var _ microbandit.Policy = microbandit.NewPeriodic(4, 4)
-	var _ microbandit.Policy = microbandit.NewStatic(0)
 	var _ microbandit.Policy = microbandit.NewEpsilonGreedy(0.1)
 	var _ microbandit.Policy = microbandit.NewUCB(0.1)
 }

@@ -1,8 +1,8 @@
-// Command mab-prefetch runs prefetching simulations: one or more
-// applications from the synthetic catalog under one prefetcher
-// configuration, printing IPC plus hierarchy statistics. It is the
-// interactive probe for the prefetching use case (the batch experiments
-// live in mab-report).
+// Command mab-prefetch runs single-core prefetching simulations: one or
+// more applications, from the synthetic catalog or recorded trace files,
+// under one prefetcher configuration, printing IPC plus hierarchy
+// statistics. It is the interactive probe for the prefetching use case
+// (the batch experiments live in mab-report).
 //
 // Usage:
 //
@@ -10,13 +10,21 @@
 //	             [-algo ducb|ucb|eps|single|periodic|static:N]
 //	             [-faults noise:0.5,stuckarm:1] [-trace] [-list]
 //	             [-telemetry out.jsonl] [-telemetry-every 100] [-sim-fields]
-//	mab-prefetch -app lbm17,mcf06,bfs -j 4
+//	mab-prefetch -app lbm17,mcf06,ligra-bfs -j 4
 //	mab-prefetch -app all -j 0
+//	mab-prefetch -app lbm17.mbt,mcf06 -pf none
+//
+// An -app entry ending in .mbt is a trace file written by mab-trace
+// record (the paper's trace-driven methodology, §6.1). It runs under the
+// name in its header and loops over its instructions until -insts is met
+// (§6.2); -seed still seeds the prefetchers and the agent. An unreadable,
+// malformed or empty trace file is a bad -app value.
 //
 // With a comma-separated -app list (or "all"), the simulations fan out
 // across -j worker goroutines and the reports print in input order. A
 // failing app is reported on stderr without taking down its siblings.
-// Bad flag values exit 2 with the valid choices.
+// Bad flag values exit 2 with the valid choices; a failed or interrupted
+// run exits 1 after printing what finished.
 //
 // -telemetry writes the JSONL event stream plus timeline.csv and
 // regret.csv next to it, byte-identical at every -j value; -sim-fields
@@ -24,21 +32,17 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"microbandit/cmd/internal/cli"
 	"microbandit/internal/core"
 	"microbandit/internal/fault"
 	"microbandit/internal/harness"
 	"microbandit/internal/mem"
 	"microbandit/internal/obs"
-	"microbandit/internal/par"
 	"microbandit/internal/prefetch"
 	"microbandit/internal/trace"
 	"microbandit/internal/version"
@@ -56,7 +60,7 @@ type runConfig struct {
 }
 
 func main() {
-	appNames := flag.String("app", "lbm17", "application(s): a catalog name, a comma-separated list, or \"all\"")
+	appNames := flag.String("app", "lbm17", "application(s): a catalog name or .mbt trace file, a comma-separated list of them, or \"all\"")
 	pfName := flag.String("pf", "bandit", "prefetcher: "+strings.Join(prefetch.Names(), ", "))
 	algo := flag.String("algo", "ducb", "bandit algorithm: "+strings.Join(core.AlgoNames(), ", "))
 	insts := flag.Int64("insts", 4_000_000, "instructions to simulate")
@@ -107,17 +111,9 @@ func main() {
 		usageErr(fmt.Errorf("-faults: %v", err))
 	}
 
-	var apps []trace.App
-	if *appNames == "all" {
-		apps = trace.Catalog()
-	} else {
-		for _, name := range strings.Split(*appNames, ",") {
-			app, err := trace.ByName(strings.TrimSpace(name))
-			if err != nil {
-				usageErr(fmt.Errorf("%v (valid: %s, or \"all\")", err, catalogNames()))
-			}
-			apps = append(apps, app)
-		}
+	apps, err := cli.Apps(*appNames, true)
+	if err != nil {
+		usageErr(err)
 	}
 
 	memCfg := mem.DefaultConfig()
@@ -132,81 +128,25 @@ func main() {
 
 	// Validate the prefetcher/algorithm configuration once before fanning
 	// out.
-	if _, _, _, err := build(cfg); err != nil {
+	if _, _, _, err := cfg.build(); err != nil {
 		usageErr(err)
 	}
-	// Telemetry slots are claimed by app index, so the assembled stream
-	// is byte-identical at every -j value.
-	var collector *obs.Collector
-	if *telemetry != "" {
-		collector = obs.NewCollector(*telemetryEvery)
-	}
-	opts := harness.Options{Insts: *insts, StepL2: *stepL2, Obs: collector}
-	// SIGINT/SIGTERM cancels the fan-out: in-flight simulations stop at
-	// the next 100k-instruction chunk, unstarted apps never run, and
-	// everything that did finish still prints (plus telemetry) below.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	// Each app is an independent simulation with its own hierarchy and
-	// seed; reports come back in input order regardless of worker count. A
-	// failing or panicking run becomes a per-job error; the siblings'
-	// reports still print and the process exits 1.
-	type jobIn struct {
-		i   int
-		app trace.App
-	}
-	jobs := make([]jobIn, len(apps))
-	for i, app := range apps {
-		jobs[i] = jobIn{i, app}
-	}
-	reports, errs := par.RunCtx(ctx, *workers, jobs, func(ctx context.Context, j jobIn) (string, error) {
-		var rec obs.Recorder
-		if collector != nil {
-			rec = collector.Slot(j.i, j.app.Name)
-		}
-		o := opts
-		o.Ctx = ctx
-		return simulate(o, j.app, cfg, rec)
-	})
-	failed := 0
-	for i, report := range reports {
-		if errs[i] != nil {
-			if !errors.Is(errs[i], context.Canceled) {
-				failed++
-				fmt.Fprintf(os.Stderr, "mab-prefetch: %s: %v\n", apps[i].Name, errs[i])
-			}
-			continue
-		}
-		if i > 0 {
-			fmt.Println()
-		}
-		fmt.Print(report)
-	}
-	if collector != nil {
-		if err := obs.WriteFiles(*telemetry, *telemetryEvery, collector.Events()); err != nil {
-			fmt.Fprintf(os.Stderr, "mab-prefetch: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "mab-prefetch: interrupted; results above are partial")
-		os.Exit(1)
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "mab-prefetch: %d of %d runs failed; results above are partial\n", failed, len(apps))
-		os.Exit(1)
-	}
+	// seed; an interrupt stops it at the next 100k-instruction chunk.
+	f := cli.Fanout{Cmd: "mab-prefetch", Workers: *workers, Telemetry: *telemetry, Every: *telemetryEvery, Sep: "\n"}
+	os.Exit(cli.Run(f, harness.Options{Insts: *insts, StepL2: *stepL2}, apps,
+		func(app trace.App) string { return app.Name }, cfg.simulate))
 }
 
 // build constructs the run's prefetcher through the prefetch registry
 // and, for an arm-tunable one, its controller through the algorithm
 // registry.
-func build(cfg runConfig) (l2 prefetch.Prefetcher, ctrl core.Controller, arms prefetch.Tunable, err error) {
+func (cfg runConfig) build() (l2 prefetch.Prefetcher, ctrl core.Controller, arms prefetch.Tunable, err error) {
 	l2, arms, err = prefetch.NewByName(cfg.pfName, cfg.seed)
 	if err != nil || arms == nil {
 		return l2, nil, arms, err
 	}
-	ctrl, err = core.ParseAlgo(cfg.algo, arms.NumArms(), cfg.seed, true)
+	ctrl, err = core.ParseAlgo(cfg.algo, arms.NumArms(), cfg.seed, false)
 	return l2, ctrl, arms, err
 }
 
@@ -214,8 +154,8 @@ func build(cfg runConfig) (l2 prefetch.Prefetcher, ctrl core.Controller, arms pr
 // non-nil, receives the run's telemetry stream. If o.Ctx is canceled
 // mid-run the simulation stops at the next chunk boundary and the report
 // covers the instructions that did run, flagged as partial.
-func simulate(o harness.Options, app trace.App, cfg runConfig, rec obs.Recorder) (string, error) {
-	l2, ctrl, arms, err := build(cfg)
+func (cfg runConfig) simulate(o harness.Options, app trace.App, rec obs.Recorder) (string, error) {
+	l2, ctrl, arms, err := cfg.build()
 	if err != nil {
 		return "", err
 	}
@@ -256,15 +196,6 @@ func simulate(o harness.Options, app trace.App, cfg runConfig, rec obs.Recorder)
 		}
 	}
 	return b.String(), nil
-}
-
-// catalogNames returns the valid -app values for error messages.
-func catalogNames() string {
-	var names []string
-	for _, a := range trace.Catalog() {
-		names = append(names, a.Name)
-	}
-	return strings.Join(names, ", ")
 }
 
 // usageErr reports a bad flag value and exits 2.

@@ -163,9 +163,7 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Print(r.Render())
-		if *csvDir != "" {
-			writeCSV(*csvDir, "scenarios", r.CSV())
-		}
+		writeCSV(*csvDir, "scenarios", r.CSV())
 		if collector != nil {
 			if err := obs.WriteFiles(*telemetry, *telemetryEvery, collector.Events()); err != nil {
 				fmt.Fprintf(os.Stderr, "mab-report: telemetry: %v\n", err)
@@ -194,9 +192,7 @@ func main() {
 		start := time.Now()
 		r := harness.RobustWith(o, sweep)
 		fmt.Print(r.Render())
-		if *csvDir != "" {
-			writeCSV(*csvDir, "robust", r.CSV())
-		}
+		writeCSV(*csvDir, "robust", r.CSV())
 		if collector != nil {
 			if err := obs.WriteFiles(*telemetry, *telemetryEvery, collector.Events()); err != nil {
 				fmt.Fprintf(os.Stderr, "mab-report: telemetry: %v\n", err)
@@ -215,7 +211,9 @@ func main() {
 		}
 		start := time.Now()
 		fmt.Printf("== %s: %s ==\n", e.ID, e.Desc)
-		fmt.Print(runOne(e, o, *csvDir))
+		text, csv := e.Run(o)
+		writeCSV(*csvDir, e.ID, csv)
+		fmt.Print(text)
 		fmt.Printf("(%.1fs)\n", time.Since(start).Seconds())
 		exitAfterAppendix(o.Errs)
 	}
@@ -226,7 +224,9 @@ func main() {
 		}
 		start := time.Now()
 		fmt.Printf("== %s: %s ==\n", e.ID, e.Desc)
-		fmt.Print(runOne(e, o, *csvDir))
+		text, csv := e.Run(o)
+		writeCSV(*csvDir, e.ID, csv)
+		fmt.Print(text)
 		if o.Errs.Len() > 0 {
 			anyFailed = true
 			fmt.Print(harness.RenderFailures(o.Errs.Drain()))
@@ -341,25 +341,15 @@ func writeRuntimeMetrics(path string) {
 	}
 }
 
-// writeCSV writes one experiment's CSV file, reporting but not dying on
-// I/O errors.
+// writeCSV writes one experiment's CSV file into dir, reporting but not
+// dying on I/O errors. Without a -csvdir, or for an experiment without a
+// tabular form, it writes nothing.
 func writeCSV(dir, id, csv string) {
+	if dir == "" || csv == "" {
+		return
+	}
 	path := filepath.Join(dir, id+".csv")
 	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "mab-report: writing %s: %v\n", path, err)
 	}
-}
-
-// runOne executes an experiment once, writing its CSV alongside when a
-// CSV directory is configured and the experiment has a tabular form.
-func runOne(e harness.Experiment, o harness.Options, csvDir string) string {
-	if csvDir == "" {
-		return e.Run(o)
-	}
-	text, csv, ok := harness.RunWithCSV(e.ID, o)
-	if !ok {
-		return e.Run(o)
-	}
-	writeCSV(csvDir, e.ID, csv)
-	return text
 }

@@ -14,22 +14,19 @@
 // With a comma-separated -mix list, the simulations fan out across -j
 // worker goroutines and the reports print in input order. A failing mix
 // is reported on stderr without taking down its siblings. Bad flag
-// values exit 2 with the valid choices.
+// values exit 2 with the valid choices; a failed or interrupted run
+// exits 1 after printing what finished.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"microbandit/cmd/internal/cli"
 	"microbandit/internal/harness"
 	"microbandit/internal/obs"
-	"microbandit/internal/par"
 	"microbandit/internal/simsmt"
 	"microbandit/internal/smtwork"
 	"microbandit/internal/version"
@@ -110,66 +107,11 @@ func main() {
 	}
 
 	cfg := runConfig{ctrlName: *ctrlName, seed: *seed, showTrace: *showTrace}
-	// Telemetry slots are claimed by mix index, so the assembled stream
-	// is byte-identical at every -j value.
-	var collector *obs.Collector
-	if *telemetry != "" {
-		collector = obs.NewCollector(*telemetryEvery)
-	}
-	// SIGINT/SIGTERM cancels the fan-out: in-flight simulations stop at
-	// the next epoch boundary, unstarted mixes never run, and everything
-	// that did finish still prints (plus telemetry) below.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opts := harness.Options{SMTCycles: *cycles, EpochLen: *epoch, RREpochs: *rrEpochs,
-		MainEpochs: *mainEpochs, Ctx: ctx, Obs: collector}
 	// Each mix is an independent simulation with its own state and seed;
-	// reports come back in input order regardless of worker count. A
-	// failing or panicking run becomes a per-job error; the siblings'
-	// reports still print and the process exits 1.
-	type jobIn struct {
-		i   int
-		mix smtwork.Mix
-	}
-	jobs := make([]jobIn, len(mixes))
-	for i, mix := range mixes {
-		jobs[i] = jobIn{i, mix}
-	}
-	reports, errs := par.RunCtx(ctx, *workers, jobs, func(_ context.Context, j jobIn) (string, error) {
-		var rec obs.Recorder
-		if collector != nil {
-			rec = collector.Slot(j.i, j.mix.Name())
-		}
-		return simulate(opts, j.mix, cfg, rec), nil
-	})
-	failed := 0
-	for i, report := range reports {
-		if errs[i] != nil {
-			if !errors.Is(errs[i], context.Canceled) {
-				failed++
-				fmt.Fprintf(os.Stderr, "mab-smt: %s: %v\n", mixes[i].Name(), errs[i])
-			}
-			continue
-		}
-		if i > 0 {
-			fmt.Println()
-		}
-		fmt.Print(report)
-	}
-	if collector != nil {
-		if err := obs.WriteFiles(*telemetry, *telemetryEvery, collector.Events()); err != nil {
-			fmt.Fprintf(os.Stderr, "mab-smt: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "mab-smt: interrupted; results above are partial")
-		os.Exit(1)
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "mab-smt: %d of %d runs failed; results above are partial\n", failed, len(mixes))
-		os.Exit(1)
-	}
+	// an interrupt stops it at the next epoch boundary.
+	f := cli.Fanout{Cmd: "mab-smt", Workers: *workers, Telemetry: *telemetry, Every: *telemetryEvery, Sep: "\n"}
+	os.Exit(cli.Run(f, harness.Options{SMTCycles: *cycles, EpochLen: *epoch, RREpochs: *rrEpochs,
+		MainEpochs: *mainEpochs}, mixes, smtwork.Mix.Name, cfg.simulate))
 }
 
 // simulate runs one mix through harness.SimSMT and returns its
@@ -177,7 +119,7 @@ func main() {
 // stream. If o.Ctx is canceled mid-run the simulation stops at the next
 // epoch boundary and the report covers the cycles that did run, flagged
 // as partial.
-func simulate(o harness.Options, mix smtwork.Mix, cfg runConfig, rec obs.Recorder) string {
+func (cfg runConfig) simulate(o harness.Options, mix smtwork.Mix, rec obs.Recorder) (string, error) {
 	s, _ := harness.SMTCtrl(cfg.ctrlName, cfg.seed) // validated before fan-out
 	s.Mix, s.Seed, s.RecordArms, s.Rec = mix, cfg.seed, cfg.showTrace, rec
 	runner := o.SimSMT(s)
@@ -210,7 +152,7 @@ func simulate(o harness.Options, mix smtwork.Mix, cfg runConfig, rec obs.Recorde
 			fmt.Fprintf(&b, "  arm %d = %s\n", i, p)
 		}
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // profileNames returns the valid mix components for error messages.

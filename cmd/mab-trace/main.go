@@ -1,45 +1,32 @@
 // Command mab-trace records synthetic applications into the binary trace
-// format and replays trace files through the core model — the trace-driven
-// methodology of the paper's ChampSim platform (§6.1), including the
-// concatenate-short-traces rule of §6.2 (replayed traces loop until the
-// instruction budget is met).
+// format of the paper's trace-driven methodology (§6.1) and summarizes
+// trace files. mab-prefetch runs a recorded file as an -app entry,
+// looping it until the instruction budget is met (§6.2).
 //
 // Usage:
 //
 //	mab-trace record -app lbm17 -insts 2000000 -out lbm17.mbt
-//	mab-trace record -app lbm17,mcf06,bfs -j 4
-//	mab-trace replay -in lbm17.mbt -insts 4000000 -pf bandit
-//	mab-trace replay -in lbm17.mbt -pf bandit -telemetry out.jsonl [-sim-fields]
+//	mab-trace record -app lbm17,mcf06,ligra-bfs -j 4
 //	mab-trace info -in lbm17.mbt
+//	mab-prefetch -app lbm17.mbt -pf bandit
 //
 // With a comma-separated -app list (or "all"), record writes one
 // <app>.mbt per application, fanning the recordings out across -j worker
-// goroutines.
-//
-// replay accepts every mab-prefetch -pf name (default none); the bandit
-// is the paper's DUCB agent over the Table 7 ensemble, stepping every
-// 1,000 L2 demand accesses. -telemetry writes the JSONL event stream
-// plus timeline.csv and regret.csv next to it. To simulate catalog
-// applications directly, without a trace file, use mab-prefetch.
+// goroutines. An interrupt removes the unfinished recordings' partial
+// files and exits 1; a failed recording is reported on stderr and also
+// exits 1.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 
-	"microbandit/internal/core"
-	"microbandit/internal/cpu"
+	"microbandit/cmd/internal/cli"
 	"microbandit/internal/harness"
-	"microbandit/internal/mem"
 	"microbandit/internal/obs"
-	"microbandit/internal/par"
-	"microbandit/internal/prefetch"
 	"microbandit/internal/trace"
 	"microbandit/internal/version"
 )
@@ -53,8 +40,6 @@ func main() {
 		fmt.Println("mab-trace", version.String())
 	case os.Args[1] == "record":
 		record(os.Args[2:])
-	case os.Args[1] == "replay":
-		replay(os.Args[2:])
 	case os.Args[1] == "info":
 		info(os.Args[2:])
 	default:
@@ -63,15 +48,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mab-trace {record|replay|info|version} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: mab-trace {record|info|version} [flags]")
 	os.Exit(2)
-}
-
-// interruptCtx returns a context canceled by SIGINT/SIGTERM, so long
-// simulations stop at the next chunk boundary and still report the
-// partial statistics (plus telemetry) they accumulated.
-func interruptCtx() (context.Context, context.CancelFunc) {
-	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
 func record(args []string) {
@@ -89,48 +67,26 @@ func record(args []string) {
 	if *workers < 0 {
 		usageErr(fs, fmt.Errorf("-j must be >= 0, got %d", *workers))
 	}
-	var apps []trace.App
-	if *appNames == "all" {
-		apps = trace.Catalog()
-	} else {
-		for _, name := range strings.Split(*appNames, ",") {
-			app, err := trace.ByName(strings.TrimSpace(name))
-			if err != nil {
-				usageErr(fs, fmt.Errorf("%v (valid: %s, or \"all\")", err, catalogNames()))
-			}
-			apps = append(apps, app)
-		}
+	apps, err := cli.Apps(*appNames, false)
+	if err != nil {
+		usageErr(fs, err)
 	}
 	if *out != "" && len(apps) > 1 {
 		usageErr(fs, fmt.Errorf("-out only applies to a single app; got %d", len(apps)))
 	}
 
-	// Each recording owns its generator and output file; reports print in
-	// input order regardless of worker count. An interrupt abandons
-	// in-flight recordings and removes their partial files — a truncated
-	// trace would silently shorten every later replay.
-	ctx, stop := interruptCtx()
-	defer stop()
-	reports, errs := par.RunCtx(ctx, *workers, apps, func(ctx context.Context, app trace.App) (string, error) {
-		path := *out
-		if path == "" {
-			path = app.Name + ".mbt"
-		}
-		return recordOne(ctx, app, path, *insts, *seed)
-	})
-	for i, report := range reports {
-		if errs[i] != nil {
-			if errors.Is(errs[i], context.Canceled) {
-				continue
+	// Each recording owns its generator and output file. An interrupt
+	// abandons in-flight recordings and removes their partial files — a
+	// truncated trace would silently shorten every later run of it.
+	os.Exit(cli.Run(cli.Fanout{Cmd: "mab-trace", Workers: *workers}, harness.Options{}, apps,
+		func(app trace.App) string { return app.Name },
+		func(o harness.Options, app trace.App, _ obs.Recorder) (string, error) {
+			path := *out
+			if path == "" {
+				path = app.Name + ".mbt"
 			}
-			fatal(errs[i])
-		}
-		fmt.Print(report)
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "mab-trace: interrupted; unfinished recordings were removed")
-		os.Exit(1)
-	}
+			return recordOne(o.Ctx, app, path, *insts, *seed)
+		}))
 }
 
 // recordOne writes one application's trace file and returns the report
@@ -184,86 +140,6 @@ func recordOne(ctx context.Context, app trace.App, path string, insts int64, see
 		w.Count(), app.Name, path, st.Size(), float64(st.Size())/float64(w.Count())), nil
 }
 
-func replay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	in := fs.String("in", "", "input trace file")
-	insts := fs.Int64("insts", 4_000_000, "instructions to simulate (trace loops if shorter)")
-	pf := fs.String("pf", "none", "prefetcher: "+strings.Join(prefetch.Names(), ", "))
-	seed := fs.Uint64("seed", 1, "random seed")
-	telemetry := fs.String("telemetry", "", "write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
-	telemetryEvery := fs.Int("telemetry-every", 100, "telemetry snapshot/interval cadence in bandit steps")
-	simFields := fs.Bool("sim-fields", false, "with -telemetry: add the simulator-effectiveness field ff_coverage (fast-forward coverage) to interval events")
-	_ = fs.Parse(args)
-
-	if *in == "" {
-		usageErr(fs, fmt.Errorf("replay needs -in"))
-	}
-	if *insts <= 0 {
-		usageErr(fs, fmt.Errorf("-insts must be positive, got %d", *insts))
-	}
-	if *telemetryEvery <= 0 {
-		usageErr(fs, fmt.Errorf("-telemetry-every must be positive, got %d", *telemetryEvery))
-	}
-	l2, arms, err := prefetch.NewByName(*pf, *seed)
-	if err != nil {
-		usageErr(fs, err)
-	}
-	var ctrl core.Controller
-	if arms != nil {
-		if ctrl, err = core.ParseAlgo("ducb", arms.NumArms(), *seed, false); err != nil {
-			fatal(err)
-		}
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		fatal(err)
-	}
-	insts2, err := r.ReadAll()
-	if err != nil {
-		fatal(err)
-	}
-	if len(insts2) == 0 {
-		fatal(fmt.Errorf("empty trace"))
-	}
-	// §6.2: short traces are concatenated until the budget is reached.
-	gen := trace.NewLoop(r.TraceName(), insts2)
-
-	var rec obs.Recorder
-	var collector *obs.Collector
-	if *telemetry != "" {
-		collector = obs.NewCollector(*telemetryEvery)
-		rec = collector.Slot(0, r.TraceName())
-	}
-	ctx, stop := interruptCtx()
-	defer stop()
-	o := harness.Options{Insts: *insts, StepL2: cpu.StepL2Accesses, Ctx: ctx, Obs: collector}
-	runner := o.SimPrefetch(harness.PrefetchSpec{
-		Gen: gen, Seed: *seed, Mem: mem.DefaultConfig(),
-		L2: l2, Ctrl: ctrl, Arms: arms, Rec: rec, SimFields: *simFields,
-	})
-	interrupted := ctx.Err() != nil
-	c := runner.Core
-	if collector != nil {
-		if err := obs.WriteFiles(*telemetry, *telemetryEvery, collector.Events()); err != nil {
-			fatal(fmt.Errorf("telemetry: %w", err))
-		}
-	}
-	note := ""
-	if interrupted {
-		note = " [interrupted; partial]"
-	}
-	fmt.Printf("replayed %s: %d insts, %d cycles, IPC %.4f%s\n",
-		r.TraceName(), c.Insts(), c.Cycles(), c.IPC(), note)
-	if interrupted {
-		os.Exit(1)
-	}
-}
-
 func info(args []string) {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	in := fs.String("in", "", "input trace file")
@@ -284,8 +160,14 @@ func info(args []string) {
 	var total int64
 	var inst trace.Inst
 	for {
-		if err := r.Read(&inst); err != nil {
+		// A bare io.EOF ends the trace between records; any other error,
+		// a record cut short included, is a damaged file.
+		err := r.Read(&inst)
+		if err == io.EOF {
 			break
+		}
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", *in, err))
 		}
 		counts[inst.Kind]++
 		total++
@@ -301,15 +183,6 @@ func info(args []string) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mab-trace:", err)
 	os.Exit(1)
-}
-
-// catalogNames returns the valid -app values for error messages.
-func catalogNames() string {
-	var names []string
-	for _, a := range trace.Catalog() {
-		names = append(names, a.Name)
-	}
-	return strings.Join(names, ", ")
 }
 
 // usageErr reports a bad flag value and exits 2 with the subcommand's

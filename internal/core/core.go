@@ -13,9 +13,9 @@
 //   - The paper's two microarchitecture-specific modifications (§4.3):
 //     reward normalization by the round-robin average reward, and
 //     probabilistic round-robin restarts to escape multi-core interference.
-//   - The non-MAB exploration heuristics used as baselines (§6.4, §7.1):
-//     Single, Periodic (with a POWER7-style moving-average buffer), and
-//     Static (one fixed arm, used to construct the best-static oracle).
+//   - The non-MAB exploration heuristics used as baselines (§7.1):
+//     Single and Periodic (with a POWER7-style moving-average buffer).
+//     The best-static oracle (§6.4) runs one FixedArm controller per arm.
 //
 // The agent is deliberately tiny: per arm it stores one running reward
 // (rTable) and one selection count (nTable), 8 bytes per arm in hardware.
@@ -88,13 +88,6 @@ type Policy interface {
 	UpdateReward(t *Tables, arm int, rStep float64)
 	// Reset clears any internal mode state (not the Tables).
 	Reset()
-}
-
-// Potentialer is implemented by policies whose arm choice maximizes an
-// explicit per-arm potential (UCB and DUCB). It is used by tests and by
-// the Fig. 7 exploration-trace instrumentation.
-type Potentialer interface {
-	Potentials(t *Tables) []float64
 }
 
 // Config configures an Agent.
@@ -344,8 +337,6 @@ func (a *Agent) policyNextArm() int {
 		return argmaxPotential(t, p.C)
 	case *EpsilonGreedy:
 		return epsNextArm(t, p.Epsilon, &a.rng)
-	case *Static:
-		return p.Arm
 	default:
 		return a.cfg.Policy.NextArm(t, &a.rng)
 	}
@@ -357,7 +348,7 @@ func (a *Agent) policyUpdateSelections(arm int) {
 	switch p := a.cfg.Policy.(type) {
 	case *DUCB:
 		discountSelect(t, p.Gamma, arm)
-	case *UCB, *EpsilonGreedy, *Static:
+	case *UCB, *EpsilonGreedy:
 		countSelect(t, arm)
 	default:
 		a.cfg.Policy.UpdateSelections(t, arm)
@@ -367,7 +358,7 @@ func (a *Agent) policyUpdateSelections(arm int) {
 // policyUpdateReward is the devirtualized Policy.UpdateReward.
 func (a *Agent) policyUpdateReward(arm int, rStep float64) {
 	switch a.cfg.Policy.(type) {
-	case *DUCB, *UCB, *EpsilonGreedy, *Static:
+	case *DUCB, *UCB, *EpsilonGreedy:
 		foldReward(a.tables, arm, rStep)
 	default:
 		a.cfg.Policy.UpdateReward(a.tables, arm, rStep)
@@ -440,15 +431,6 @@ func (a *Agent) Trace() []int { return a.trace }
 func (a *Agent) SetRecorder(rec obs.Recorder, every int) {
 	a.cfg.Obs = rec
 	a.cfg.ObsEvery = every
-}
-
-// Potentials returns the current per-arm potentials if the policy exposes
-// them, else nil.
-func (a *Agent) Potentials() []float64 {
-	if p, ok := a.cfg.Policy.(Potentialer); ok {
-		return p.Potentials(a.tables)
-	}
-	return nil
 }
 
 // Reset returns the agent to its initial state (zeroed tables, re-seeded

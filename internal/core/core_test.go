@@ -411,23 +411,6 @@ func TestNoRestartWhenProbZero(t *testing.T) {
 	}
 }
 
-func TestPotentialsExposedForUCBFamily(t *testing.T) {
-	a := MustNew(Config{Arms: 3, Policy: NewDUCB(0.1, 0.99), Seed: 1})
-	for i := 0; i < 3; i++ {
-		a.Step()
-		a.Reward(float64(i))
-	}
-	p := a.Potentials()
-	if len(p) != 3 {
-		t.Fatalf("potentials = %v", p)
-	}
-	// ε-Greedy has no potentials.
-	b := MustNew(Config{Arms: 3, Policy: NewEpsilonGreedy(0.1), Seed: 1})
-	if b.Potentials() != nil {
-		t.Error("eps-greedy exposed potentials")
-	}
-}
-
 func TestFixedArmController(t *testing.T) {
 	var c Controller = FixedArm(4)
 	if c.Step() != 4 || c.InInitialRR() {

@@ -100,21 +100,8 @@ func NewUCB(c float64) *UCB { return &UCB{C: c} }
 // Name implements Policy.
 func (p *UCB) Name() string { return "UCB" }
 
-// Potentials returns r_i + c*sqrt(ln(n_total)/n_i) for every arm.
-func (p *UCB) Potentials(t *Tables) []float64 {
-	return ucbPotentials(t, p.C)
-}
-
-func ucbPotentials(t *Tables, c float64) []float64 {
-	out := make([]float64, t.Arms())
-	lnTotal := math.Log(math.Max(t.NTotal, 1))
-	for i := range out {
-		n := math.Max(t.N[i], minCount)
-		out[i] = t.R[i] + c*math.Sqrt(lnTotal/n)
-	}
-	return out
-}
-
+// argmaxPotential returns the arm with the highest UCB potential
+// r_i + c*sqrt(ln(n_total)/n_i).
 func argmaxPotential(t *Tables, c float64) int {
 	best, bestP := 0, math.Inf(-1)
 	lnTotal := math.Log(math.Max(t.NTotal, 1))
@@ -166,11 +153,6 @@ func NewDUCB(c, gamma float64) *DUCB { return &DUCB{C: c, Gamma: gamma} }
 // Name implements Policy.
 func (p *DUCB) Name() string { return "DUCB" }
 
-// Potentials returns the per-arm UCB potentials under discounted counts.
-func (p *DUCB) Potentials(t *Tables) []float64 {
-	return ucbPotentials(t, p.C)
-}
-
 // NextArm implements Policy: same selection rule as UCB.
 func (p *DUCB) NextArm(t *Tables, _ *xrand.Rand) int {
 	return argmaxPotential(t, p.C)
@@ -193,42 +175,9 @@ func (p *DUCB) UpdateReward(t *Tables, arm int, rStep float64) {
 // Reset implements Policy (DUCB is stateless).
 func (p *DUCB) Reset() {}
 
-// Static always selects one fixed arm. It is the building block of the
-// best-static-arm oracle (§6.4): the harness runs one full experiment per
-// arm with a Static policy and keeps the best result.
-type Static struct {
-	// Arm is the fixed arm to select.
-	Arm int
-}
-
-// NewStatic returns a policy that always selects arm.
-func NewStatic(arm int) *Static { return &Static{Arm: arm} }
-
-// Name implements Policy.
-func (p *Static) Name() string { return "Static" }
-
-// NextArm implements Policy.
-func (p *Static) NextArm(_ *Tables, _ *xrand.Rand) int { return p.Arm }
-
-// UpdateSelections implements Policy.
-func (p *Static) UpdateSelections(t *Tables, arm int) {
-	countSelect(t, arm)
-}
-
-// UpdateReward implements Policy: running average, kept for reporting.
-func (p *Static) UpdateReward(t *Tables, arm int, rStep float64) {
-	foldReward(t, arm, rStep)
-}
-
-// Reset implements Policy (Static is stateless).
-func (p *Static) Reset() {}
-
 // Compile-time interface checks.
 var (
-	_ Policy      = (*EpsilonGreedy)(nil)
-	_ Policy      = (*UCB)(nil)
-	_ Policy      = (*DUCB)(nil)
-	_ Policy      = (*Static)(nil)
-	_ Potentialer = (*UCB)(nil)
-	_ Potentialer = (*DUCB)(nil)
+	_ Policy = (*EpsilonGreedy)(nil)
+	_ Policy = (*UCB)(nil)
+	_ Policy = (*DUCB)(nil)
 )

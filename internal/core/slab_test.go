@@ -7,9 +7,9 @@ import (
 )
 
 // slabPolicies is the algorithm matrix the equivalence tests sweep: every
-// built-in policy the devirtualized fast path special-cases, plus the
-// §4.3 restart variant, whose RNG consumption is the easiest thing to
-// break.
+// built-in policy the devirtualized fast path special-cases, the §4.3
+// restart variant, whose RNG consumption is the easiest thing to break,
+// and Single, which takes the fast path's interface fallback.
 func slabPolicies() map[string]Config {
 	mk := func(p Policy, rrProb float64) Config {
 		return Config{Arms: 6, Policy: p, Normalize: true, RRRestartProb: rrProb, Seed: 99}
@@ -19,7 +19,7 @@ func slabPolicies() map[string]Config {
 		"ucb":     mk(NewUCB(PrefetchC), 0),
 		"ducb":    mk(NewDUCB(PrefetchC, PrefetchGamma), 0),
 		"ducb+rr": mk(NewDUCB(PrefetchC, PrefetchGamma), 0.05),
-		"static":  mk(NewStatic(3), 0),
+		"single":  mk(NewSingle(), 0),
 	}
 }
 

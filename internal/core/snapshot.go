@@ -59,7 +59,6 @@ const (
 	policyEps      = "eps"
 	policyUCB      = "ucb"
 	policyDUCB     = "ducb"
-	policyStatic   = "static"
 	policySingle   = "single"
 	policyPeriodic = "periodic"
 )
@@ -85,7 +84,6 @@ type PolicySnapshot struct {
 	Epsilon float64 `json:"epsilon,omitempty"` // eps
 	C       float64 `json:"c,omitempty"`       // ucb, ducb
 	Gamma   float64 `json:"gamma,omitempty"`   // ducb
-	Arm     int     `json:"arm,omitempty"`     // static
 
 	// Periodic configuration.
 	ExploitSteps int `json:"exploit_steps,omitempty"`
@@ -112,8 +110,6 @@ func snapshotPolicy(p Policy) (PolicySnapshot, error) {
 		return PolicySnapshot{Kind: policyUCB, C: p.C}, nil
 	case *DUCB:
 		return PolicySnapshot{Kind: policyDUCB, C: p.C, Gamma: p.Gamma}, nil
-	case *Static:
-		return PolicySnapshot{Kind: policyStatic, Arm: p.Arm}, nil
 	case *Single:
 		return PolicySnapshot{Kind: policySingle, Chosen: p.chosen}, nil
 	case *Periodic:
@@ -149,11 +145,6 @@ func restorePolicy(s PolicySnapshot, arms int) (Policy, error) {
 		return NewUCB(s.C), nil
 	case policyDUCB:
 		return NewDUCB(s.C, s.Gamma), nil
-	case policyStatic:
-		if s.Arm < 0 || s.Arm >= arms {
-			return nil, snapErrf("static arm %d outside [0,%d)", s.Arm, arms)
-		}
-		return NewStatic(s.Arm), nil
 	case policySingle:
 		if s.Chosen < -1 || s.Chosen >= arms {
 			return nil, snapErrf("single chosen arm %d outside [-1,%d)", s.Chosen, arms)

@@ -17,7 +17,6 @@ func snapshotPolicies() map[string]func() Policy {
 		"eps":      func() Policy { return NewEpsilonGreedy(0.1) },
 		"ucb":      func() Policy { return NewUCB(0.04) },
 		"ducb":     func() Policy { return NewDUCB(PrefetchC, PrefetchGamma) },
-		"static":   func() Policy { return NewStatic(2) },
 		"single":   func() Policy { return NewSingle() },
 		"periodic": func() Policy { return NewPeriodic(5, 3) },
 	}
@@ -264,8 +263,9 @@ func TestRestoreTypedErrors(t *testing.T) {
 	})
 
 	t.Run("unknown policy", func(t *testing.T) {
-		// "thompson" is a removed kind: a snapshot naming it is refused.
-		for _, kind := range []string{"gradient-bandit", "thompson"} {
+		// "thompson" and "static" are removed kinds: a snapshot naming
+		// one is refused.
+		for _, kind := range []string{"gradient-bandit", "thompson", "static"} {
 			s := *snap
 			s.Policy = PolicySnapshot{Kind: kind}
 			var se *SnapshotError
@@ -371,9 +371,11 @@ func FuzzAgentSnapshotCodec(f *testing.F) {
 			f.Add(flipped) // one damaged byte
 		}
 	}
-	// Removed features: the Thompson policy kind is refused, and its sigma
-	// hyperparameter is an unknown field, ignored on any other kind.
+	// Removed features: the Thompson and static policy kinds are refused,
+	// and Thompson's sigma hyperparameter is an unknown field, ignored on
+	// any other kind.
 	f.Add([]byte(`{"v":1,"arms":2,"policy":{"kind":"thompson","sigma":0.04,"gamma":0.999},"seed":1,"rtable":[0,0],"ntable":[0,0],"ntotal":0,"steps":0,"current_arm":0,"rng":[1,2,3,4]}`))
+	f.Add([]byte(`{"v":1,"arms":3,"policy":{"kind":"static","arm":2},"seed":1,"rtable":[0,0,0],"ntable":[0,0,0],"ntotal":0,"steps":0,"current_arm":0,"rng":[1,2,3,4]}`))
 	f.Add([]byte(`{"v":1,"arms":2,"policy":{"kind":"ducb","c":0.04,"gamma":0.999,"sigma":0.04},"seed":1,"rtable":[0.5,0.25],"ntable":[1,1],"ntotal":2,"steps":2,"current_arm":1,"rng":[1,2,3,4]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -122,53 +122,3 @@ func (r Fig15Result) CSV() string {
 	}
 	return t.CSV()
 }
-
-// RunWithCSV runs a tabular experiment once and returns both its rendered
-// text and its CSV. ok is false for experiments without a CSV form (the
-// exploration traces, ablation bundles, and the analytic area/power
-// model).
-func RunWithCSV(id string, o Options) (text, csv string, ok bool) {
-	switch id {
-	case "fig2":
-		r := Fig2(o)
-		return r.Render(), r.CSV(), true
-	case "fig5":
-		r := Fig5(o)
-		return r.Render(), r.CSV(), true
-	case "table8":
-		r := Table8(o)
-		return r.Render(), r.CSV(), true
-	case "table9":
-		r := Table9(o)
-		return r.Render(), r.CSV(), true
-	case "fig8":
-		r := Fig8(o)
-		return r.Render(), r.CSV(), true
-	case "fig9":
-		r := Fig9(o)
-		return r.Render(), r.CSV(), true
-	case "fig10":
-		r := Fig10(o)
-		return r.Render(), r.CSV(), true
-	case "fig11":
-		r := Fig11(o)
-		return r.Render(), r.CSV(), true
-	case "fig12":
-		r := Fig12(o)
-		return r.Render(), r.CSV(), true
-	case "fig13":
-		r := Fig13(o)
-		return r.Render(), r.CSV(), true
-	case "fig14":
-		r := Fig14(o)
-		return r.Render(), r.CSV(), true
-	case "fig15":
-		r := Fig15(o)
-		return r.Render(), r.CSV(), true
-	case "robust":
-		r := Robust(o)
-		return r.Render(), r.CSV(), true
-	default:
-		return "", "", false
-	}
-}

@@ -463,26 +463,24 @@ func TestRunSingleExperimentViaRegistry(t *testing.T) {
 	if !ok {
 		t.Fatal("areapower not registered")
 	}
-	if out := e.Run(tiny()); !strings.Contains(out, "storage") {
+	if out, _ := e.Run(tiny()); !strings.Contains(out, "storage") {
 		t.Errorf("unexpected output: %s", out)
 	}
 }
 
-func TestRunWithCSV(t *testing.T) {
+// TestExperimentCSV: a registry entry returns its CSV alongside its text
+// when it has a tabular form, and "" when it has none.
+func TestExperimentCSV(t *testing.T) {
 	o := tiny()
 	o.MaxApps = 1
-	text, csv, ok := RunWithCSV("fig10", o)
-	if !ok || text == "" {
-		t.Fatal("fig10 must have a CSV form")
+	fig10, _ := Find("fig10")
+	text, csv := fig10.Run(o)
+	if text == "" || !strings.Contains(csv, "mtps,pythia,bandit") {
+		t.Errorf("fig10: text %d bytes, CSV header %q", len(text), csv[:min(len(csv), 60)])
 	}
-	if !strings.Contains(csv, "mtps,pythia,bandit") {
-		t.Errorf("fig10 CSV header wrong: %q", csv[:min(len(csv), 60)])
-	}
-	if _, _, ok := RunWithCSV("ablations", o); ok {
-		t.Error("ablations should not claim a CSV form")
-	}
-	if _, _, ok := RunWithCSV("nope", o); ok {
-		t.Error("unknown id accepted")
+	areapower, _ := Find("areapower")
+	if text, csv := areapower.Run(o); text == "" || csv != "" {
+		t.Errorf("areapower: text %d bytes, CSV %q; want text and no CSV", len(text), csv)
 	}
 }
 

@@ -20,10 +20,11 @@ func TestChunkCacheInvariant(t *testing.T) {
 	}
 	const id = "fig8"
 	plain := smokeDeterminism()
-	textPlain, csvPlain, ok := RunWithCSV(id, plain)
+	e, ok := Find(id)
 	if !ok {
 		t.Fatalf("unknown experiment %q", id)
 	}
+	textPlain, csvPlain := e.Run(plain)
 
 	cached := smokeDeterminism()
 	cached.Workers = 8
@@ -31,7 +32,7 @@ func TestChunkCacheInvariant(t *testing.T) {
 	cached.SimCounters = &SimCounters{}
 	run := func(stage string) {
 		t.Helper()
-		text, csv, _ := RunWithCSV(id, cached)
+		text, csv := e.Run(cached)
 		if text != textPlain || csv != csvPlain {
 			t.Fatalf("%s: %s cached run differs from uncached run\n--- plain ---\n%s\n--- cached ---\n%s",
 				id, stage, textPlain, text)

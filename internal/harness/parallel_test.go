@@ -27,11 +27,12 @@ func assertWorkersInvariant(t *testing.T, id string) {
 	parallel := smokeDeterminism()
 	parallel.Workers = 8
 
-	textS, csvS, ok := RunWithCSV(id, serial)
+	e, ok := Find(id)
 	if !ok {
 		t.Fatalf("unknown experiment %q", id)
 	}
-	textP, csvP, _ := RunWithCSV(id, parallel)
+	textS, csvS := e.Run(serial)
+	textP, csvP := e.Run(parallel)
 	if textS != textP {
 		t.Errorf("%s: rendered output differs between Workers=1 and Workers=8\n--- serial ---\n%s\n--- parallel ---\n%s",
 			id, textS, textP)

@@ -40,9 +40,8 @@ func (s cacheinsScenario) Wire(c *cpu.Core, h *mem.Hierarchy, seed uint64) Insta
 // cacheinsTunable switches the LLC's insertion policy.
 type cacheinsTunable struct{ llc *mem.Cache }
 
-func (t *cacheinsTunable) Name() string            { return "cacheins" }
-func (t *cacheinsTunable) NumArms() int            { return len(cacheinsPolicies) }
-func (t *cacheinsTunable) ArmLabel(arm int) string { return armLabel(cacheinsLabels, arm) }
+func (t *cacheinsTunable) Name() string { return "cacheins" }
+func (t *cacheinsTunable) NumArms() int { return len(cacheinsPolicies) }
 func (t *cacheinsTunable) Apply(arm int) {
 	t.llc.SetInsertPolicy(cacheinsPolicies[arm])
 }

@@ -40,9 +40,8 @@ func (s dramschedScenario) Wire(c *cpu.Core, h *mem.Hierarchy, seed uint64) Inst
 // dramTunable switches the channel's scheduling policy.
 type dramTunable struct{ d *mem.DRAM }
 
-func (t *dramTunable) Name() string            { return "dramsched" }
-func (t *dramTunable) NumArms() int            { return len(dramschedPolicies) }
-func (t *dramTunable) ArmLabel(arm int) string { return armLabel(dramschedLabels, arm) }
+func (t *dramTunable) Name() string { return "dramsched" }
+func (t *dramTunable) NumArms() int { return len(dramschedPolicies) }
 func (t *dramTunable) Apply(arm int) {
 	t.d.SetSchedPolicy(dramschedPolicies[arm])
 }

@@ -51,9 +51,8 @@ func newDegreeThrottle() *degreeThrottle {
 	return &degreeThrottle{Stream: prefetch.NewStream(64, pfdegreeDegrees[0])}
 }
 
-func (t *degreeThrottle) Name() string            { return "pfdegree" }
-func (t *degreeThrottle) NumArms() int            { return len(pfdegreeDegrees) }
-func (t *degreeThrottle) ArmLabel(arm int) string { return armLabel(pfdegreeLabels, arm) }
+func (t *degreeThrottle) Name() string { return "pfdegree" }
+func (t *degreeThrottle) NumArms() int { return len(pfdegreeDegrees) }
 func (t *degreeThrottle) Apply(arm int) {
 	if arm < 0 || arm >= len(pfdegreeDegrees) {
 		panic(fmt.Sprintf("scenario: pfdegree arm %d out of range", arm))

@@ -39,8 +39,7 @@ func (s prefetchScenario) Wire(c *cpu.Core, h *mem.Hierarchy, seed uint64) Insta
 }
 
 // ensembleTunable adapts prefetch.Ensemble to the scenario contract
-// (the ensemble lacks only ArmLabel).
+// (it names the decision problem).
 type ensembleTunable struct{ *prefetch.Ensemble }
 
-func (t *ensembleTunable) Name() string            { return "prefetch" }
-func (t *ensembleTunable) ArmLabel(arm int) string { return armLabel(prefetchLabels, arm) }
+func (t *ensembleTunable) Name() string { return "prefetch" }

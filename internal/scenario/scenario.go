@@ -37,8 +37,6 @@ type Tunable interface {
 	Name() string
 	// NumArms returns the number of selectable arms.
 	NumArms() int
-	// ArmLabel returns the human-readable name of an arm.
-	ArmLabel(arm int) string
 	// Apply switches to the given arm; panics if out of range. Must be
 	// idempotent and allocation-free in steady state (it runs on the
 	// simulator hot path, after every bandit step).
@@ -158,12 +156,4 @@ func banditAndStatics(labels []string) []Column {
 	cols = append(cols, banditColumn(len(labels)))
 	cols = append(cols, staticColumns(labels)...)
 	return cols
-}
-
-// armLabel is the shared ArmLabel implementation over a label slice.
-func armLabel(labels []string, arm int) string {
-	if arm < 0 || arm >= len(labels) {
-		panic(fmt.Sprintf("scenario: arm %d out of range [0,%d)", arm, len(labels)))
-	}
-	return labels[arm]
 }

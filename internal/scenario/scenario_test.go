@@ -118,10 +118,7 @@ func TestScenarioContracts(t *testing.T) {
 			if got := inst.Tunable.NumArms(); got != len(wantArms) {
 				t.Fatalf("tunable NumArms = %d, want %d", got, len(wantArms))
 			}
-			for arm, want := range wantArms {
-				if got := inst.Tunable.ArmLabel(arm); got != want {
-					t.Errorf("ArmLabel(%d) = %q, want %q", arm, got, want)
-				}
+			for arm := range wantArms {
 				inst.Tunable.Apply(arm) // must not panic on any valid arm
 			}
 			inst.Tunable.Apply(0)

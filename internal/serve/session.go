@@ -106,6 +106,19 @@ func (sp Spec) Validate() error {
 	if contextual && len(sp.MetaPairs) != 0 {
 		return fmt.Errorf("meta_pairs and a contextual algorithm cannot be combined")
 	}
+	// The algorithm name, checked without building an agent; a meta
+	// stack ignores it.
+	if len(sp.MetaPairs) == 0 && !contextual {
+		var err error
+		if strings.HasPrefix(sp.Algo, "static:") {
+			_, err = core.ParseAlgo(sp.Algo, sp.Arms, sp.Seed, false)
+		} else {
+			_, err = core.AlgoConfig(sp.Algo, sp.Arms, sp.Seed, false)
+		}
+		if err != nil {
+			return err
+		}
+	}
 	set, err := fault.ParseSet(sp.Faults)
 	if err != nil {
 		return err
@@ -118,20 +131,17 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// buildController constructs the spec's controller. The first return is
+// buildController constructs the controller of a validated spec
+// (Store.Create validates before it draws an id). The first return is
 // the snapshotable agent (a *core.Agent, *core.Selector,
 // *core.ContextualAgent, or core.FixedArm); the second is the controller
 // the request path drives, which wraps the agent with the spec's fault
 // set when one is armed.
 //
 // alloc places plain agents: the store passes its shard-slab allocator
-// so agent sessions land in contiguous struct-of-arrays storage, while
-// standalone callers pass core.New. Meta stacks and fixed arms are not
-// slab material and are built in place.
+// so agent sessions land in contiguous struct-of-arrays storage. Meta
+// stacks and fixed arms are not slab material and are built in place.
 func buildController(sp Spec, alloc func(core.Config) (*core.Agent, error)) (agent, drive core.Controller, err error) {
-	if err := sp.Validate(); err != nil {
-		return nil, nil, err
-	}
 	base, contextual := core.ContextualBase(sp.Algo)
 	switch {
 	case len(sp.MetaPairs) >= 2:

@@ -171,11 +171,14 @@ func (st *Store) lockedBuildSession(sh *shard, id string, spec Spec) (*Session, 
 }
 
 // Create builds a session from spec under a fresh id and registers it.
-// Counter ids can collide with sessions restored from a checkpoint whose
-// records carry ids above its next_id, so the counter advances until it
-// lands on a free id.
+// A refused spec takes no id. Counter ids can collide with sessions
+// restored from a checkpoint whose records carry ids above its next_id,
+// so the counter advances until it lands on a free id.
 func (st *Store) Create(spec Spec) (*Session, error) {
 	spec.normalize()
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	for {
 		id := fmt.Sprintf("s-%08x", st.nextID.Add(1))
 		sh := st.shardFor(id)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -64,6 +65,36 @@ func TestStoreCreateRejectsBadSpec(t *testing.T) {
 	}
 	if st.Len() != 0 {
 		t.Fatalf("failed creates leaked sessions: Len = %d", st.Len())
+	}
+}
+
+// TestRejectedCreateTakesNoID: refused creates leave the id counter
+// alone, so the next session is the first id and the checkpoint's
+// next_id counts only sessions that exist.
+func TestRejectedCreateTakesNoID(t *testing.T) {
+	st := NewStore(1)
+	for _, algo := range []string{"thompson", "linucb"} {
+		if _, err := st.Create(Spec{Algo: algo, Arms: 2}); err == nil {
+			t.Fatalf("Create(%s) succeeded, want error", algo)
+		}
+	}
+	s, err := st.Create(Spec{Arms: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ID() != "s-00000001" {
+		t.Errorf("first session after refusals = %s, want s-00000001", s.ID())
+	}
+	data, err := st.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file checkpointFile
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	if file.NextID != 1 {
+		t.Errorf("checkpoint next_id = %d, want 1", file.NextID)
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package stats provides the small statistical toolkit used by the
 // evaluation harness: geometric means (the paper's headline aggregate),
-// normalization helpers, summary statistics, and text/CSV rendering for
-// regenerating the paper's tables and figures.
+// summary statistics, and text/CSV rendering for regenerating the paper's
+// tables and figures.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -78,65 +77,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the median of xs (the average of the two middle elements
-// for even lengths), or 0 for an empty slice. xs is not modified.
-func Median(xs []float64) float64 {
-	return Percentile(xs, 50)
-}
-
-// Percentile returns the p-th percentile of xs (0 <= p <= 100) using linear
-// interpolation between closest ranks. xs is not modified. Empty input
-// returns 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Ratios divides each element of num by the corresponding element of den.
-// It panics if the lengths differ or a denominator is zero.
-func Ratios(num, den []float64) []float64 {
-	if len(num) != len(den) {
-		panic(fmt.Sprintf("stats: Ratios length mismatch %d vs %d", len(num), len(den)))
-	}
-	out := make([]float64, len(num))
-	for i := range num {
-		if den[i] == 0 {
-			panic(fmt.Sprintf("stats: Ratios zero denominator at index %d", i))
-		}
-		out[i] = num[i] / den[i]
-	}
-	return out
-}
-
-// Normalize scales each element of xs by 1/base. It panics if base is zero.
-func Normalize(xs []float64, base float64) []float64 {
-	if base == 0 {
-		panic("stats: Normalize by zero base")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
 }
 
 // Summary bundles the min / max / geometric-mean triple the paper reports in

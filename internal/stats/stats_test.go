@@ -61,51 +61,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestMedianPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	if got := Median(xs); got != 3 {
-		t.Errorf("Median = %v, want 3", got)
-	}
-	// Input must not be modified.
-	if xs[0] != 5 {
-		t.Error("Median modified input")
-	}
-	even := []float64{1, 2, 3, 4}
-	if got := Median(even); got != 2.5 {
-		t.Errorf("even Median = %v, want 2.5", got)
-	}
-	if got := Percentile(even, 0); got != 1 {
-		t.Errorf("P0 = %v", got)
-	}
-	if got := Percentile(even, 100); got != 4 {
-		t.Errorf("P100 = %v", got)
-	}
-}
-
-func TestRatiosNormalize(t *testing.T) {
-	r := Ratios([]float64{2, 9}, []float64{4, 3})
-	if r[0] != 0.5 || r[1] != 3 {
-		t.Errorf("Ratios = %v", r)
-	}
-	n := Normalize([]float64{2, 4}, 2)
-	if n[0] != 1 || n[1] != 2 {
-		t.Errorf("Normalize = %v", n)
-	}
-	assertPanics(t, func() { Ratios([]float64{1}, []float64{}) })
-	assertPanics(t, func() { Ratios([]float64{1}, []float64{0}) })
-	assertPanics(t, func() { Normalize([]float64{1}, 0) })
-}
-
-func assertPanics(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	f()
-}
-
 func TestSummary(t *testing.T) {
 	s := Summarize([]float64{0.95, 1.0, 1.05})
 	if s.Min != 0.95 || s.Max != 1.05 {

@@ -161,15 +161,18 @@ func (r *Reader) Read(i *Inst) error {
 	return nil
 }
 
-// ReadAll decodes the remaining instructions.
+// ReadAll decodes the remaining instructions. A record cut short is an
+// error, not the end of the trace.
 func (r *Reader) ReadAll() ([]Inst, error) {
 	var out []Inst
 	for {
 		var i Inst
+		// Read returns io.EOF itself only between records; a wrapped
+		// io.EOF means the file ended inside one.
 		switch err := r.Read(&i); {
 		case err == nil:
 			out = append(out, i)
-		case errors.Is(err, io.EOF):
+		case err == io.EOF:
 			return out, nil
 		default:
 			return out, err

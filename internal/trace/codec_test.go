@@ -40,6 +40,50 @@ func roundTrip(t *testing.T, insts []Inst) []Inst {
 	return out
 }
 
+// TestReadAllRefusesCutRecord cuts a trace at every byte past its
+// header: a cut between records reads as the shorter trace, a cut
+// inside a record is an error.
+func TestReadAllRefusesCutRecord(t *testing.T) {
+	app, err := ByName("mcf06")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, "cut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	header := buf.Len()
+	ends := map[int]int{header: 0} // record boundary -> records before it
+	for k, inst := range CollectN(app.New(1), 40) {
+		if err := w.Write(&inst); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ends[buf.Len()] = k + 1
+	}
+	full := buf.Bytes()
+	for cut := header; cut <= len(full); cut++ {
+		r, err := NewReader(bytes.NewReader(full[:cut]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := r.ReadAll()
+		if n, boundary := ends[cut]; boundary {
+			if err != nil || len(out) != n {
+				t.Errorf("cut at %d (after record %d): %d records, err %v", cut, n, len(out), err)
+			}
+		} else if err == nil {
+			t.Errorf("cut at %d inside a record: read %d records without error", cut, len(out))
+		}
+	}
+}
+
 func TestCodecRoundTripCatalogApps(t *testing.T) {
 	for _, name := range []string{"lbm17", "mcf06", "cassandra"} {
 		app, err := ByName(name)
