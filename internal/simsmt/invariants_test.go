@@ -23,9 +23,9 @@ func checkInvariants(t *testing.T, sim *SMT) {
 					sim.Cycle(), ti, name, v)
 			}
 		}
-		if th.fetchQLen() < 0 || th.fetchQLen() > cfg.FetchQCap {
+		if th.qLen < 0 || th.qLen > cfg.FetchQCap {
 			t.Fatalf("cycle %d: thread %d fetch queue %d outside [0,%d]",
-				sim.Cycle(), ti, th.fetchQLen(), cfg.FetchQCap)
+				sim.Cycle(), ti, th.qLen, cfg.FetchQCap)
 		}
 		rob += th.robCount
 		iq += th.iq

@@ -3,6 +3,7 @@ package simsmt
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"microbandit/internal/smtwork"
 )
@@ -18,7 +19,7 @@ type Config struct {
 	FetchQCap        int   // per-thread fetch/decode queue depth
 	FrontLatency     int64 // fetch-to-rename pipeline depth
 	MispredictRefill int64 // extra front-end refill after a branch resolves
-	DepWindow        int   // how far back dependences can reach
+	DepWindow        int   // how far back dependences can reach (a power of two)
 }
 
 // DefaultConfig mirrors the paper's Table 5: 97-entry IQ, 224-entry ROB,
@@ -71,8 +72,8 @@ type robEntry struct {
 type thread struct {
 	gen *smtwork.Gen
 
-	fetchQ      []fetchedUop // FIFO (head at index qHead)
-	qHead       int
+	fetchQ      []fetchedUop // ring of a power-of-two length >= FetchQCap
+	qHead, qLen int
 	awaitBranch bool  // a fetched mispredict blocks further fetch
 	blockedTill int64 // front-end redirect in progress
 
@@ -91,22 +92,105 @@ type thread struct {
 	committed int64
 }
 
-func (t *thread) fetchQLen() int { return len(t.fetchQ) - t.qHead }
-
 // occupied is the thread's shared-structure occupancy (ROB+IQ+LQ+SQ).
 func (t *thread) occupied() int64 { return int64(t.robCount + t.iq + t.lq + t.sq) }
 
-// releaseQueue is a binary min-heap of scheduled structure releases (IQ
-// frees at issue, SQ at drain), each packed as cycle<<2 | thread<<1 | what
-// with what 0 = IQ, 1 = SQ. Every release due by a cycle is applied at the
-// top of that cycle and only decrements a counter, so the order among
-// same-cycle releases is unobservable.
-type releaseQueue []int64
+// releaseWheel is the calendar of scheduled structure releases (IQ frees
+// at issue, SQ at drain). Slot c&wheelMask holds the releases due at cycle
+// c as four 16-bit counters, lane thread<<1 | what with what releaseIQ or
+// releaseSQ, so scheduling a release at most wheelSlots cycles out is one
+// add. A bitmap marks the non-empty slots and a summary word the non-empty
+// bitmap words, so next finds the earliest pending release in two bit
+// scans. Releases further out wait in the far heap. Every release due by a
+// cycle is applied at the top of that cycle and only decrements a counter,
+// so the order among same-cycle releases is unobservable and counting
+// them is exact.
+//
+// due(c) reads only slot c, so a caller must pass every cycle before
+// next to due, in order, skipping none that holds a release.
+type releaseWheel struct {
+	slots   [wheelSlots]uint64
+	bits    [wheelSlots / 64]uint64
+	summary uint64 // bit i set iff bits[i] != 0
+	far     releaseQueue
+}
 
 const (
+	// wheelSlots is the wheel's horizon in cycles, a power of two. The
+	// longest release distance seen over sampled catalog mixes is ~1,250
+	// cycles, so the far heap is for outliers.
+	wheelSlots = 2048
+	wheelMask  = wheelSlots - 1
+
 	releaseIQ = 0
 	releaseSQ = 1
+
+	// laneMax is a lane's capacity. A lane never counts more releases
+	// than its structure has entries, so New caps IQSize and SQSize.
+	laneMax = 1<<16 - 1
 )
+
+// push schedules a release at cycle, which is after now, the last cycle
+// passed to due.
+func (w *releaseWheel) push(now, cycle int64, thread int, what int64) {
+	if cycle-now > wheelSlots {
+		w.far.push(cycle, thread, what)
+		return
+	}
+	i := cycle & wheelMask
+	w.slots[i] += 1 << (16 * (int64(thread)<<1 | what))
+	w.bits[i>>6] |= 1 << (i & 63)
+	w.summary |= 1 << (i >> 6)
+}
+
+// due removes the releases at cycle and returns them as a slot's four
+// lanes.
+func (w *releaseWheel) due(cycle int64) uint64 {
+	i := cycle & wheelMask
+	lanes := w.slots[i]
+	if lanes != 0 {
+		w.slots[i] = 0
+		if w.bits[i>>6] &^= 1 << (i & 63); w.bits[i>>6] == 0 {
+			w.summary &^= 1 << (i >> 6)
+		}
+	}
+	for len(w.far) > 0 && w.far[0]>>2 <= cycle {
+		lanes += 1 << (16 * (w.far.pop() & 3))
+	}
+	return lanes
+}
+
+// next returns the cycle of the earliest pending release, or
+// math.MaxInt64 if none is pending. Every pending release is after now.
+func (w *releaseWheel) next(now int64) int64 {
+	n := int64(math.MaxInt64)
+	if len(w.far) > 0 {
+		n = w.far[0] >> 2
+	}
+	if w.summary == 0 {
+		return n
+	}
+	// The wheel's releases are in (now, now+wheelSlots]: scan the slots
+	// circularly from now+1's.
+	start := uint64(now+1) & wheelMask
+	word := start >> 6
+	var slot uint64
+	if m := w.bits[word] >> (start & 63); m != 0 {
+		slot = start + uint64(bits.TrailingZeros64(m))
+	} else {
+		later := w.summary >> (word + 1) << (word + 1)
+		if later == 0 {
+			later = w.summary // wrap around
+		}
+		j := uint64(bits.TrailingZeros64(later))
+		slot = j<<6 + uint64(bits.TrailingZeros64(w.bits[j]))
+	}
+	return min(n, now+1+int64((slot-start)&wheelMask))
+}
+
+// releaseQueue is the wheel's far tier: a binary min-heap of releases,
+// each packed as cycle<<2 | thread<<1 | what.
+type releaseQueue []int64
 
 func (q *releaseQueue) push(cycle int64, thread int, what int64) {
 	h := append(*q, 0)
@@ -160,7 +244,7 @@ type SMT struct {
 	share   [2]float64 // per-thread structure share (Hill Climbing output)
 
 	cycle    int64
-	releases releaseQueue
+	releases releaseWheel
 	rename   RenameStats
 	rrNext   int // round-robin fetch pointer
 	commitRR int // alternating commit precedence
@@ -175,11 +259,18 @@ func New(cfg Config, genA, genB *smtwork.Gen) *SMT {
 	if cfg.FetchWidth < 1 || cfg.DecodeWidth < 1 || cfg.CommitWidth < 1 {
 		panic("simsmt: widths must be positive")
 	}
+	if cfg.DepWindow < 1 || cfg.DepWindow&(cfg.DepWindow-1) != 0 {
+		panic("simsmt: DepWindow must be a power of two")
+	}
+	if cfg.IQSize > laneMax || cfg.SQSize > laneMax {
+		panic("simsmt: IQ and SQ sizes must fit the release wheel's lanes")
+	}
 	s := &SMT{cfg: cfg, policy: ChoiPolicy}
 	s.share = [2]float64{0.5, 0.5}
 	for i, g := range []*smtwork.Gen{genA, genB} {
 		s.threads[i] = &thread{
 			gen:         g,
+			fetchQ:      make([]fetchedUop, 1<<bits.Len(uint(max(cfg.FetchQCap, 1)-1))),
 			rob:         make([]robEntry, cfg.ROBSize),
 			completions: make([]int64, cfg.DepWindow),
 		}
@@ -260,22 +351,19 @@ func (s *SMT) stepCycle() bool {
 	for i, t := range s.threads {
 		s.occAccum[i] += t.occupied()
 	}
-	released := false
-	for len(s.releases) > 0 && s.releases[0]>>2 <= s.cycle {
-		r := s.releases.pop()
-		t := s.threads[r>>1&1]
-		if r&releaseSQ == 0 {
-			t.iq--
-		} else {
-			t.sq--
-		}
-		released = true
+	lanes := s.releases.due(s.cycle)
+	if lanes != 0 {
+		t0, t1 := s.threads[0], s.threads[1]
+		t0.iq -= int(uint16(lanes))
+		t0.sq -= int(uint16(lanes >> 16))
+		t1.iq -= int(uint16(lanes >> 32))
+		t1.sq -= int(uint16(lanes >> 48))
 	}
 	committed := s.commit()
 	counter, renamed := s.renameStage(s.cycle)
 	*counter++
 	fetched := s.fetch()
-	return released || committed || renamed || fetched
+	return lanes != 0 || committed || renamed || fetched
 }
 
 // skipDead fast-forwards from a dead cycle to just before the next cycle
@@ -287,15 +375,12 @@ func (s *SMT) stepCycle() bool {
 // fetch-queue head rename-ready cycle or future redirect end. Each skipped
 // cycle is charged exactly what stepping it would charge.
 func (s *SMT) skipDead(bound int64) {
-	next := int64(math.MaxInt64)
-	if len(s.releases) > 0 {
-		next = s.releases[0] >> 2
-	}
+	next := s.releases.next(s.cycle)
 	for _, t := range s.threads {
 		if t.robCount > 0 {
 			next = min(next, t.rob[t.robHead].complete)
 		}
-		if t.fetchQLen() > 0 && t.fetchQ[t.qHead].renameReady > s.cycle {
+		if t.qLen > 0 && t.fetchQ[t.qHead].renameReady > s.cycle {
 			next = min(next, t.fetchQ[t.qHead].renameReady)
 		}
 		if t.blockedTill > s.cycle {
@@ -343,7 +428,7 @@ func (s *SMT) commit() bool {
 				if drain <= s.cycle {
 					t.sq--
 				} else {
-					s.releases.push(drain, ti, releaseSQ)
+					s.releases.push(s.cycle, drain, ti, releaseSQ)
 				}
 			case smtwork.UopBranch:
 				t.branches--
@@ -390,7 +475,7 @@ func (s *SMT) renameStage(at int64) (counter *int64, renamed bool) {
 	for _, ti := range [2]int{first, first ^ 1} {
 		t := s.threads[ti]
 		for budget > 0 {
-			if t.fetchQLen() == 0 {
+			if t.qLen == 0 {
 				break
 			}
 			f := &t.fetchQ[t.qHead]
@@ -404,11 +489,8 @@ func (s *SMT) renameStage(at int64) (counter *int64, renamed bool) {
 				break // in-order rename: head blocks the thread
 			}
 			s.renameUop(ti, t, &f.uop)
-			t.qHead++
-			if t.qHead > 64 && t.qHead*2 >= len(t.fetchQ) {
-				t.fetchQ = append(t.fetchQ[:0], t.fetchQ[t.qHead:]...)
-				t.qHead = 0
-			}
+			t.qHead = (t.qHead + 1) & (len(t.fetchQ) - 1)
+			t.qLen--
 			budget--
 		}
 	}
@@ -477,8 +559,9 @@ func (s *SMT) otherOccupancy(t *thread) occupancy {
 func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 	// Dependence: producer completion by program-order distance.
 	start := s.cycle + 1
+	window := int64(len(t.completions) - 1)
 	if u.DepDist > 0 && int64(u.DepDist) <= t.seq {
-		pc := t.completions[(t.seq-int64(u.DepDist))%int64(len(t.completions))]
+		pc := t.completions[(t.seq-int64(u.DepDist))&window]
 		if pc > start {
 			start = pc
 		}
@@ -487,7 +570,7 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 
 	// IQ entry held from rename until the uop starts executing.
 	t.iq++
-	s.releases.push(start, ti, releaseIQ)
+	s.releases.push(s.cycle, start, ti, releaseIQ)
 
 	e := robEntry{complete: complete, kind: u.Kind}
 	switch u.Kind {
@@ -513,9 +596,13 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 		e.fpReg = true
 	}
 
-	t.rob[(t.robHead+t.robCount)%len(t.rob)] = e
+	tail := t.robHead + t.robCount
+	if tail >= len(t.rob) {
+		tail -= len(t.rob)
+	}
+	t.rob[tail] = e
 	t.robCount++
-	t.completions[t.seq%int64(len(t.completions))] = complete
+	t.completions[t.seq&window] = complete
 	t.seq++
 }
 
@@ -528,14 +615,13 @@ func (s *SMT) fetch() bool {
 		return false
 	}
 	t := s.threads[ti]
-	for k := 0; k < s.cfg.FetchWidth; k++ {
-		if t.fetchQLen() >= s.cfg.FetchQCap {
-			break
-		}
-		var u smtwork.Uop
-		t.gen.Next(&u)
-		t.fetchQ = append(t.fetchQ, fetchedUop{uop: u, renameReady: s.cycle + s.cfg.FrontLatency})
-		if u.Kind == smtwork.UopBranch && u.Mispredict {
+	ready := s.cycle + s.cfg.FrontLatency
+	for k := 0; k < s.cfg.FetchWidth && t.qLen < s.cfg.FetchQCap; k++ {
+		f := &t.fetchQ[(t.qHead+t.qLen)&(len(t.fetchQ)-1)]
+		t.gen.Next(&f.uop)
+		f.renameReady = ready
+		t.qLen++
+		if f.uop.Kind == smtwork.UopBranch && f.uop.Mispredict {
 			// Stop fetching this thread until the branch is renamed and
 			// resolved (wrong-path suppression).
 			t.awaitBranch = true
@@ -582,7 +668,7 @@ func (s *SMT) fetchable(ti int) bool {
 	if t.awaitBranch || t.blockedTill > s.cycle {
 		return false
 	}
-	if t.fetchQLen() >= s.cfg.FetchQCap {
+	if t.qLen >= s.cfg.FetchQCap {
 		return false
 	}
 	return !s.gated(ti)

@@ -254,12 +254,24 @@ func TestBanditRunnerSavesHCPerArm(t *testing.T) {
 }
 
 func TestNewPanicsOnBadWidths(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(Config{}, nil, nil)
+	bad := map[string]func(*Config){
+		"zero":         func(c *Config) { *c = Config{} },
+		"dep-window":   func(c *Config) { c.DepWindow = 200 },
+		"iq-over-lane": func(c *Config) { c.IQSize = laneMax + 1 },
+		"sq-over-lane": func(c *Config) { c.SQSize = laneMax + 1 },
+	}
+	for name, mutate := range bad {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			cfg := DefaultConfig()
+			mutate(&cfg)
+			New(cfg, nil, nil)
+		})
+	}
 }
 
 // BenchmarkPipelineCycle times one simulated cycle on a busy mix

@@ -14,6 +14,7 @@ package smtwork
 
 import (
 	"fmt"
+	"math"
 
 	"microbandit/internal/xrand"
 )
@@ -108,10 +109,24 @@ type Profile struct {
 }
 
 // Gen deterministically generates uops from a profile.
+//
+// Every draw is an integer test on one word of the stream, precomputed in
+// NewGen: a coin is an xrand.Coin, and a mix pick compares the word's top
+// 53 bits against the cumulative fractions scaled by 2^53 (see
+// mixThreshold). The tests are exact: each decides as Float64() < c or
+// Bool(p) would on the same word, and draws exactly the words they do.
 type Gen struct {
 	p         Profile
-	rng       *xrand.Rand
+	rng       xrand.Rand
 	sinceLoad int // uops since the previous load, for load chains
+
+	// kindThr are the cumulative instruction-mix thresholds: load, store,
+	// branch, FP; the rest is ALU.
+	kindThr [4]uint64
+	// hitThr are the cumulative L1, L2 hit thresholds.
+	hitThr [2]uint64
+
+	loadChain, storeDRAM, mispredict, dep xrand.Coin
 }
 
 // NewGen builds a generator for profile p with the given seed.
@@ -125,7 +140,31 @@ func NewGen(p Profile, seed uint64) *Gen {
 	if p.DepDistMean < 1 {
 		p.DepDistMean = 8
 	}
-	return &Gen{p: p, rng: xrand.New(seed)}
+	g := &Gen{p: p, rng: *xrand.New(seed)}
+	ls := p.LoadFrac + p.StoreFrac
+	lsb := ls + p.BranchFrac
+	g.kindThr = [4]uint64{mixThreshold(p.LoadFrac), mixThreshold(ls),
+		mixThreshold(lsb), mixThreshold(lsb + p.FPFrac)}
+	g.hitThr = [2]uint64{mixThreshold(p.L1HitProb), mixThreshold(p.L1HitProb + p.L2HitProb)}
+	g.loadChain = xrand.NewCoin(p.LoadChainProb)
+	g.storeDRAM = xrand.NewCoin(p.StoreDrainDRAMProb)
+	g.mispredict = xrand.NewCoin(p.MispredictProb)
+	g.dep = xrand.NewCoin(p.DepProb)
+	return g
+}
+
+// mixThreshold turns the test Float64() < c into an integer one: Float64
+// is k·2^-53 for k the word's top 53 bits, and scaling by 2^53 is exact,
+// so the test is k < ceil(c·2^53). A c of 1 or more passes every k, and a
+// c of 0 or less, or NaN, passes none.
+func mixThreshold(c float64) uint64 {
+	switch {
+	case !(c > 0):
+		return 0
+	case c >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(c * (1 << 53)))
 }
 
 // Name returns the profile name.
@@ -134,53 +173,61 @@ func (g *Gen) Name() string { return g.p.Name }
 // Profile returns the generator's profile.
 func (g *Gen) Profile() Profile { return g.p }
 
+// flip is c's outcome, drawing a word only if c does.
+func (g *Gen) flip(c xrand.Coin) bool {
+	var u uint64
+	if c.Draws() {
+		u = g.rng.Uint64()
+	}
+	return c.Hit(u)
+}
+
 // Next fills in the next micro-op.
 func (g *Gen) Next(u *Uop) {
 	*u = Uop{Lat: 1}
-	x := g.rng.Float64()
-	p := &g.p
+	k := g.rng.Uint64() >> 11
 	switch {
-	case x < p.LoadFrac:
+	case k < g.kindThr[0]:
 		u.Kind = UopLoad
 		u.Lat = g.memLatency()
-		if g.rng.Bool(p.LoadChainProb) && g.sinceLoad > 0 {
+		if g.flip(g.loadChain) && g.sinceLoad > 0 {
 			u.DepDist = g.sinceLoad // chain to the previous load
 		}
 		g.sinceLoad = 0
-	case x < p.LoadFrac+p.StoreFrac:
+	case k < g.kindThr[1]:
 		u.Kind = UopStore
 		u.Lat = 1
-		if g.rng.Bool(p.StoreDrainDRAMProb) {
-			u.DrainLat = g.jitter(p.MemLat)
+		if g.flip(g.storeDRAM) {
+			u.DrainLat = g.jitter(g.p.MemLat)
 		} else {
 			u.DrainLat = 8
 		}
 		g.sinceLoad++
-	case x < p.LoadFrac+p.StoreFrac+p.BranchFrac:
+	case k < g.kindThr[2]:
 		u.Kind = UopBranch
-		u.Mispredict = g.rng.Bool(p.MispredictProb)
+		u.Mispredict = g.flip(g.mispredict)
 		g.sinceLoad++
-	case x < p.LoadFrac+p.StoreFrac+p.BranchFrac+p.FPFrac:
+	case k < g.kindThr[3]:
 		u.Kind = UopFP
-		u.Lat = p.FPLat
+		u.Lat = g.p.FPLat
 		g.sinceLoad++
 	default:
 		u.Kind = UopALU
 		g.sinceLoad++
 	}
 	// General dependence structure (skip if already chained).
-	if u.DepDist == 0 && g.rng.Bool(p.DepProb) {
-		u.DepDist = 1 + g.rng.Intn(2*p.DepDistMean)
+	if u.DepDist == 0 && g.flip(g.dep) {
+		u.DepDist = 1 + g.rng.Intn(2*g.p.DepDistMean)
 	}
 }
 
 // memLatency draws a load latency from the hit distribution.
 func (g *Gen) memLatency() int64 {
-	x := g.rng.Float64()
+	k := g.rng.Uint64() >> 11
 	switch {
-	case x < g.p.L1HitProb:
+	case k < g.hitThr[0]:
 		return 4
-	case x < g.p.L1HitProb+g.p.L2HitProb:
+	case k < g.hitThr[1]:
 		return 16
 	default:
 		return g.jitter(g.p.MemLat)

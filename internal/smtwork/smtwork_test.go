@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"microbandit/internal/xrand"
 )
 
 func TestUopKindString(t *testing.T) {
@@ -194,3 +196,138 @@ func BenchmarkGenNext(b *testing.B) {
 }
 
 var sinkUop Uop
+
+// floatGen is the Float64/Bool formulation of Gen.Next that the integer
+// thresholds replace, kept as the oracle for their edge cases.
+type floatGen struct {
+	p         Profile
+	rng       *xrand.Rand
+	sinceLoad int
+}
+
+func (g *floatGen) next(u *Uop) {
+	*u = Uop{Lat: 1}
+	x := g.rng.Float64()
+	p := &g.p
+	switch {
+	case x < p.LoadFrac:
+		u.Kind = UopLoad
+		u.Lat = g.memLatency()
+		if g.rng.Bool(p.LoadChainProb) && g.sinceLoad > 0 {
+			u.DepDist = g.sinceLoad
+		}
+		g.sinceLoad = 0
+	case x < p.LoadFrac+p.StoreFrac:
+		u.Kind = UopStore
+		if g.rng.Bool(p.StoreDrainDRAMProb) {
+			u.DrainLat = g.jitter(p.MemLat)
+		} else {
+			u.DrainLat = 8
+		}
+		g.sinceLoad++
+	case x < p.LoadFrac+p.StoreFrac+p.BranchFrac:
+		u.Kind = UopBranch
+		u.Mispredict = g.rng.Bool(p.MispredictProb)
+		g.sinceLoad++
+	case x < p.LoadFrac+p.StoreFrac+p.BranchFrac+p.FPFrac:
+		u.Kind = UopFP
+		u.Lat = p.FPLat
+		g.sinceLoad++
+	default:
+		u.Kind = UopALU
+		g.sinceLoad++
+	}
+	if u.DepDist == 0 && g.rng.Bool(p.DepProb) {
+		u.DepDist = 1 + g.rng.Intn(2*p.DepDistMean)
+	}
+}
+
+func (g *floatGen) memLatency() int64 {
+	x := g.rng.Float64()
+	switch {
+	case x < g.p.L1HitProb:
+		return 4
+	case x < g.p.L1HitProb+g.p.L2HitProb:
+		return 16
+	default:
+		return g.jitter(g.p.MemLat)
+	}
+}
+
+func (g *floatGen) jitter(lat int64) int64 {
+	span := lat / 2
+	if span <= 0 {
+		return lat
+	}
+	return lat - span/2 + int64(g.rng.Intn(int(span)))
+}
+
+// TestThresholdDrawsMatchFloat: the integer-threshold draws give the same
+// uops and consume the same words as the Float64/Bool formulation, for
+// probabilities at and beyond the edges (0, 1, NaN, negative, the float
+// neighbours of 0 and 1) and for cumulative mixes that reach or pass 1.
+func TestThresholdDrawsMatchFloat(t *testing.T) {
+	nan := math.NaN()
+	below1 := math.Nextafter(1, 0)
+	tiny := math.SmallestNonzeroFloat64
+	cases := map[string]Profile{
+		"zero": {},
+		"ones": {LoadFrac: 1, StoreFrac: 1, BranchFrac: 1, FPFrac: 1, MispredictProb: 1,
+			L1HitProb: 1, L2HitProb: 1, StoreDrainDRAMProb: 1, DepProb: 1, LoadChainProb: 1},
+		"nan": {LoadFrac: nan, StoreFrac: 0.2, BranchFrac: 0.2, MispredictProb: nan,
+			L1HitProb: nan, StoreDrainDRAMProb: nan, DepProb: nan, LoadChainProb: nan},
+		"nan-late": {LoadFrac: 0.3, StoreFrac: 0.2, BranchFrac: nan, FPFrac: 0.1,
+			L1HitProb: 0.5, L2HitProb: nan, MispredictProb: 0.5, DepProb: 0.5},
+		"negative": {LoadFrac: -0.2, StoreFrac: 0.5, BranchFrac: -1, FPFrac: 0.4,
+			L1HitProb: -0.5, L2HitProb: 0.9, MispredictProb: -1, DepProb: -0.1, LoadChainProb: 2},
+		"sum-to-one": {LoadFrac: 0.25, StoreFrac: 0.25, BranchFrac: 0.25, FPFrac: 0.25,
+			MispredictProb: 0.5, L1HitProb: 0.5, L2HitProb: 0.5, DepProb: 0.5, LoadChainProb: 0.5},
+		"sum-past-one": {LoadFrac: 0.6, StoreFrac: 0.6, BranchFrac: 0.3, FPFrac: 0.7,
+			MispredictProb: 0.3, L1HitProb: 0.7, L2HitProb: 0.7, StoreDrainDRAMProb: 0.5, DepProb: 0.7},
+		"float-edges": {LoadFrac: tiny, StoreFrac: below1, BranchFrac: tiny, FPFrac: tiny,
+			MispredictProb: below1, L1HitProb: tiny, L2HitProb: below1,
+			StoreDrainDRAMProb: tiny, DepProb: below1, LoadChainProb: below1},
+		"thirds": {LoadFrac: 1.0 / 3, StoreFrac: 1.0 / 3, BranchFrac: 0.1, FPFrac: 0.1,
+			MispredictProb: 1.0 / 3, L1HitProb: 1.0 / 3, L2HitProb: 1.0 / 3,
+			StoreDrainDRAMProb: 1.0 / 3, DepProb: 1.0 / 3, LoadChainProb: 1.0 / 3},
+	}
+	for _, p := range Profiles() {
+		cases[p.Name] = p
+	}
+	for name, p := range cases {
+		for _, seed := range []uint64{1, 99} {
+			g := NewGen(p, seed)
+			ref := &floatGen{p: g.Profile(), rng: xrand.New(seed)}
+			for i := 0; i < 20000; i++ {
+				var got, want Uop
+				g.Next(&got)
+				ref.next(&want)
+				if got != want {
+					t.Fatalf("%s/%d: uop %d = %+v, want %+v", name, seed, i, got, want)
+				}
+			}
+			if g.rng.State() != ref.rng.State() {
+				t.Fatalf("%s/%d: generators drew different words", name, seed)
+			}
+		}
+	}
+}
+
+// TestMixThresholdBoundary: the threshold sits exactly where the float
+// test flips, which random words almost never probe. For every top-53-bit
+// value k at the boundary, k < mixThreshold(c) iff k·2^-53 < c.
+func TestMixThresholdBoundary(t *testing.T) {
+	cs := []float64{math.NaN(), math.Inf(-1), -1, 0, math.SmallestNonzeroFloat64,
+		0x1p-60, 0x1p-53, 1.0 / 3, 0.1, 0.5, 0.6 + 0.6, math.Nextafter(1, 0), 1, math.Inf(1)}
+	for _, c := range cs {
+		thr := mixThreshold(c)
+		for _, k := range []uint64{thr - 2, thr - 1, thr, thr + 1, 0, 1<<53 - 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			if got, want := k < thr, float64(k)*(1.0/(1<<53)) < c; got != want {
+				t.Errorf("c=%v k=%d: threshold test %v, float test %v", c, k, got, want)
+			}
+		}
+	}
+}
