@@ -65,7 +65,8 @@ type (
 	// multi-bandit exploration orchestration of §8).
 	Coordinator = core.Coordinator
 	// Slab is the struct-of-arrays arena holding many agents' learned
-	// state contiguously, with StepBatch/RewardBatch kernels.
+	// state contiguously; the decision server places its sessions' agents
+	// in slabs.
 	Slab = core.Slab
 )
 

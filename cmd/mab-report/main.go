@@ -60,7 +60,7 @@ func main() {
 	scenarioNames := flag.String("scenario", "", "with -scenarios: comma-separated scenario names to run ("+strings.Join(scenario.Names(), ", ")+")")
 	faultSpec := flag.String("faults", "", "with -robust: custom sweep as comma-separated kind:intensity[:seed] ("+strings.Join(fault.KindNames(), ", ")+")")
 	noChunkCache := flag.Bool("no-chunk-cache", false, "disable the shared trace chunk cache for experiment runs (outputs are byte-identical either way; the cache stores a trace only once a second run reads it)")
-	telemetry := flag.String("telemetry", "", "with -robust: write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
+	telemetry := flag.String("telemetry", "", "with -robust or -scenarios: write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
 	telemetryEvery := flag.Int("telemetry-every", 100, "telemetry snapshot/interval cadence in bandit steps")
 	pprofDir := flag.String("pprof", "", "capture cpu.pprof, heap.pprof, and runtime metrics into this directory")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -109,6 +109,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mab-report: -telemetry-every must be positive, got %d\n", *telemetryEvery)
 		os.Exit(2)
 	}
+	// Every flag value is checked before profiling starts and the chunk
+	// cache is built, so a bad one exits 2 without leaving a cpu.pprof.
+	names := scenario.Names()
+	if *scenarioNames != "" {
+		names = strings.Split(*scenarioNames, ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+			if _, err := scenario.NewByName(names[i]); err != nil {
+				fmt.Fprintf(os.Stderr, "mab-report: %v\n", err)
+				os.Exit(2)
+			}
+		}
+	}
+	var sweep []fault.Spec
+	if *faultSpec != "" {
+		var err error
+		if sweep, err = fault.ParseSet(*faultSpec); err != nil {
+			fmt.Fprintf(os.Stderr, "mab-report: -faults: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	var exp harness.Experiment
+	if *expID != "" {
+		var ok bool
+		if exp, ok = harness.Find(*expID); !ok {
+			fmt.Fprintf(os.Stderr, "mab-report: unknown experiment %q (try -list)\n", *expID)
+			os.Exit(2)
+		}
+	}
 	o.Seed = *seed
 	o.Workers = *workers
 	// Collect per-job failures instead of crashing: experiments render
@@ -144,13 +173,6 @@ func main() {
 	}
 
 	if *scenarios {
-		names := scenario.Names()
-		if *scenarioNames != "" {
-			names = strings.Split(*scenarioNames, ",")
-			for i := range names {
-				names[i] = strings.TrimSpace(names[i])
-			}
-		}
 		var collector *obs.Collector
 		if *telemetry != "" {
 			collector = obs.NewCollector(*telemetryEvery)
@@ -160,7 +182,7 @@ func main() {
 		r, err := harness.ScenariosWith(o, names)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mab-report: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		fmt.Print(r.Render())
 		writeCSV(*csvDir, "scenarios", r.CSV())
@@ -175,14 +197,8 @@ func main() {
 	}
 
 	if *robust {
-		sweep := harness.DefaultFaultSweep()
-		if *faultSpec != "" {
-			set, err := fault.ParseSet(*faultSpec)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mab-report: -faults: %v\n", err)
-				os.Exit(2)
-			}
-			sweep = set
+		if sweep == nil {
+			sweep = harness.DefaultFaultSweep()
 		}
 		var collector *obs.Collector
 		if *telemetry != "" {
@@ -204,15 +220,10 @@ func main() {
 	}
 
 	if *expID != "" {
-		e, ok := harness.Find(*expID)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mab-report: unknown experiment %q (try -list)\n", *expID)
-			os.Exit(2)
-		}
 		start := time.Now()
-		fmt.Printf("== %s: %s ==\n", e.ID, e.Desc)
-		text, csv := e.Run(o)
-		writeCSV(*csvDir, e.ID, csv)
+		fmt.Printf("== %s: %s ==\n", exp.ID, exp.Desc)
+		text, csv := exp.Run(o)
+		writeCSV(*csvDir, exp.ID, csv)
 		fmt.Print(text)
 		fmt.Printf("(%.1fs)\n", time.Since(start).Seconds())
 		exitAfterAppendix(o.Errs)

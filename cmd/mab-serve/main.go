@@ -200,6 +200,12 @@ func runLoadgen(args []string) {
 	if *duration <= 0 {
 		usageErr(fmt.Errorf("-duration must be positive, got %v", *duration))
 	}
+	if *arms < 1 {
+		usageErr(fmt.Errorf("-arms must be positive, got %d", *arms))
+	}
+	if max := serve.MaxBatchOps / 2; *batch < 0 || *batch > max {
+		usageErr(fmt.Errorf("-batch must be in [0, %d], got %d", max, *batch))
+	}
 
 	// An interrupt ends the run early; the partial measurement still
 	// prints.

@@ -16,11 +16,11 @@ import (
 // The scalar Agent API is unchanged: New builds a one-slot slab, so a
 // standalone agent is just the degenerate case and every decision an
 // agent makes is bit-identical whether it lives alone or in a
-// thousand-slot slab. What the slab adds is the batch plane: StepBatch
-// and RewardBatch sweep many slots in one call over contiguous memory,
-// instead of N virtual calls chasing N scattered heap objects — the
-// vectorized independent-runs layout of the bandit-simulation literature
-// applied to the serving path.
+// thousand-slot slab. What the slab adds is density: the decision server
+// packs its sessions' agents into per-shard slabs, so their tables sit in
+// contiguous memory instead of N scattered heap objects. StepBatch and
+// RewardBatch sweep many slots in one call; nothing in the server uses
+// them, and they remain for the benchmark's core-layer probe.
 //
 // A Slab's backing arrays are fixed at construction and never
 // reallocated, so a caller may operate on disjoint slots from different

@@ -46,8 +46,7 @@ const (
 
 // batchOp is one parsed operation. The session id is kept as offsets
 // into the request body, not a string, so parsing allocates nothing.
-// hasCtx marks a step op carrying a context vector; such ops run on the
-// scalar path (contextual sessions are not slab-kernel material).
+// hasCtx marks a step op carrying a context vector.
 type batchOp struct {
 	idOff, idEnd int32
 	kind         uint8

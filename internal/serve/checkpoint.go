@@ -88,9 +88,9 @@ func checkpointSession(s *Session) (sessionCheckpoint, error) {
 
 // restoreSession rebuilds a session from its checkpoint record and
 // registers it in st. The agent resumes its exact snapshot state — agent
-// sessions restore into their shard's slab arena, so a restored server
-// is as batch-kernel-eligible as a freshly built one. The drive-path
-// fault wrapper (when the spec arms one) is rebuilt fresh from the spec.
+// sessions restore into their shard's slab arena, where freshly built
+// ones are placed. The drive-path fault wrapper (when the spec arms one)
+// is rebuilt fresh from the spec.
 func (st *Store) restoreSession(ck sessionCheckpoint) error {
 	if ck.ID == "" {
 		return &CheckpointError{Reason: "session record without an id"}
@@ -117,7 +117,7 @@ func (st *Store) restoreSession(ck sessionCheckpoint) error {
 
 	var (
 		agent core.Controller
-		chunk *arenaChunk
+		slab  *core.Slab
 		slot  int
 	)
 	switch ck.Kind {
@@ -133,8 +133,8 @@ func (st *Store) restoreSession(ck sessionCheckpoint) error {
 		}
 		// The spec's arm count sizes the slab; a snapshot of another
 		// shape fails the slab's own arm check.
-		chunk = st.lockedChunkFor(sh, spec.Arms)
-		agent, slot, err = core.RestoreAgentIn(chunk.slab, &snap)
+		slab = lockedChunkFor(sh, spec.Arms)
+		agent, slot, err = core.RestoreAgentIn(slab, &snap)
 	case ckptMeta:
 		agent, err = core.RestoreSelectorJSON(ck.Agent)
 	case ckptCtx:
@@ -172,16 +172,11 @@ func (st *Store) restoreSession(ck sessionCheckpoint) error {
 		}
 	}
 
-	drive := fault.Controller(agent, set, spec.Seed)
-	s := &Session{
-		id: ck.ID, spec: spec, agent: agent, drive: drive,
+	sh.m[ck.ID] = &Session{
+		id: ck.ID, spec: spec, agent: agent, drive: fault.Controller(agent, set, spec.Seed),
+		slab: slab, slot: slot,
 		seq: ck.Seq, open: ck.Open, arm: ck.Arm,
 	}
-	if chunk != nil {
-		s.slab, s.slot, s.slabOrd = chunk.slab, slot, chunk.ord
-		s.kernelOK = drive == agent
-	}
-	sh.m[ck.ID] = s
 	return nil
 }
 

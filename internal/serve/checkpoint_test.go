@@ -104,12 +104,11 @@ func TestCheckpointReplayAcrossRestart(t *testing.T) {
 	if st2.Len() != len(ids)+1 {
 		t.Fatalf("restored %d sessions, want %d", st2.Len(), len(ids)+1)
 	}
-	// Agent records restore into their shard's slab, so the restored
-	// sessions stay eligible for the /v1/batch kernels.
+	// Agent records restore into their shard's slab.
 	for _, id := range st2.IDs() {
 		s, _ := st2.Get(id)
-		if _, isAgent := s.agent.(*core.Agent); isAgent && (s.slab == nil || !s.kernelOK) {
-			t.Fatalf("agent session %s (%s) restored off the batch kernels", id, s.spec.Algo)
+		if _, isAgent := s.agent.(*core.Agent); isAgent && s.slab == nil {
+			t.Fatalf("agent session %s (%s) restored off the shard slab", id, s.spec.Algo)
 		}
 	}
 	got := driveSessions(t, st2, ids, 120)
@@ -397,8 +396,8 @@ func TestCheckpointFaultSpecRoundTrips(t *testing.T) {
 	if _, ok := s2.drive.(*core.Agent); ok {
 		t.Fatal("restored drive is the bare agent; fault wrapper not rebuilt")
 	}
-	if s2.slab == nil || s2.kernelOK {
-		t.Fatal("faulted agent session must restore into the slab but off the batch kernels")
+	if s2.slab == nil {
+		t.Fatal("faulted agent session must restore into the slab")
 	}
 	// The restored session still serves.
 	seq, _, err := s2.Step()

@@ -222,9 +222,8 @@ func TestBatchContextMatchesScalar(t *testing.T) {
 }
 
 // TestBatchContextErrors: a ctx on a non-contextual session is a per-op
-// bad_request (matching the scalar endpoint, even though the session is
-// otherwise kernel-eligible), and a ctx on a reward op rejects the whole
-// batch at parse time.
+// bad_request (matching the scalar endpoint), and a ctx on a reward op
+// rejects the whole batch at parse time.
 func TestBatchContextErrors(t *testing.T) {
 	srv := New(Config{})
 	var plain createResponse

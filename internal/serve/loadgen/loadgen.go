@@ -53,10 +53,12 @@ type Options struct {
 	// Duration bounds the measured phase. Defaults to 1s.
 	Duration time.Duration
 	// Spec is the session spec every worker creates (seeds are
-	// diversified per worker). A zero Arms selects 8 DUCB arms.
+	// diversified per worker). A zero Arms selects 8 arms and an empty
+	// Algo (without MetaPairs) selects DUCB.
 	Spec serve.Spec
 	// Batch switches the workers to /v1/batch: each worker owns Batch
-	// sessions and drives them all with one request per round. Zero
+	// sessions and drives them all with one request per round, in
+	// [0, serve.MaxBatchOps/2] (a round is two ops per session). Zero
 	// keeps the scalar step/reward endpoints.
 	Batch int
 	// Warmup is run before the measured phase and excluded from all
@@ -72,14 +74,11 @@ func (o *Options) normalize() {
 	if o.Duration <= 0 {
 		o.Duration = time.Second
 	}
+	if o.Spec.Algo == "" && len(o.Spec.MetaPairs) == 0 {
+		o.Spec.Algo = "ducb"
+	}
 	if o.Spec.Arms == 0 {
-		o.Spec = serve.Spec{Algo: "ducb", Arms: 8}
-	}
-	if o.Batch < 0 {
-		o.Batch = 0
-	}
-	if max := serve.MaxBatchOps / 2; o.Batch > max {
-		o.Batch = max // a round is two ops (reward + step) per session
+		o.Spec.Arms = 8
 	}
 	switch {
 	case o.Warmup < 0:
@@ -148,6 +147,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	if err := opts.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("loadgen: spec: %w", err)
+	}
+	if max := serve.MaxBatchOps / 2; opts.Batch < 0 || opts.Batch > max {
+		return nil, fmt.Errorf("loadgen: batch %d outside [0, %d]", opts.Batch, max)
 	}
 
 	var recording atomic.Bool
@@ -505,9 +507,9 @@ func (w *worker) recoverScalar(body []byte, code int, recording bool) {
 }
 
 // runBatch is the batch closed loop: one request per round carrying the
-// previous round's rewards (first, so the server's kernel plane sees the
-// reward-then-step pattern per session) and a fresh step for every
-// session.
+// previous round's rewards (first, since the server runs ops in body
+// order and a session's step needs its open decision closed) and a fresh
+// step for every session.
 func (w *worker) runBatch(ctx context.Context) {
 	for ctx.Err() == nil {
 		recording := w.rec.Load()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,6 +80,49 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	srv := serve.New(serve.Config{})
 	if _, err := Run(context.Background(), Options{Handler: srv, Spec: serve.Spec{Arms: -1}}); err == nil {
 		t.Fatal("bad spec accepted")
+	}
+}
+
+// TestNormalizeKeepsSpec: a zero Arms defaults the arm count alone; the
+// algorithm and seed the caller set survive, and an empty Algo defaults
+// on its own.
+func TestNormalizeKeepsSpec(t *testing.T) {
+	o := Options{Spec: serve.Spec{Algo: "ucb", Seed: 9}}
+	o.normalize()
+	if want := (serve.Spec{Algo: "ucb", Arms: 8, Seed: 9}); !reflect.DeepEqual(o.Spec, want) {
+		t.Fatalf("normalized spec = %+v, want %+v", o.Spec, want)
+	}
+	o = Options{Spec: serve.Spec{Arms: 3}}
+	o.normalize()
+	if o.Spec.Algo != "ducb" || o.Spec.Arms != 3 {
+		t.Fatalf("normalized spec = %+v, want ducb with 3 arms", o.Spec)
+	}
+
+	srv := serve.New(serve.Config{})
+	if _, err := Run(context.Background(), Options{
+		Handler: srv, Workers: 1, Duration: 20 * time.Millisecond, Spec: serve.Spec{Algo: "ucb"},
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, id := range srv.Store().IDs() {
+		s, _ := srv.Store().Get(id)
+		if sp := s.Spec(); sp.Algo != "ucb" || sp.Arms != 8 {
+			t.Fatalf("session %s spec = %+v, want ucb with 8 arms", id, sp)
+		}
+	}
+}
+
+// TestRunRejectsBadBatch: a batch size outside [0, MaxBatchOps/2] is an
+// error before any session is created, not a silent rewrite.
+func TestRunRejectsBadBatch(t *testing.T) {
+	for _, batch := range []int{-1, serve.MaxBatchOps/2 + 1} {
+		srv := serve.New(serve.Config{})
+		if _, err := Run(context.Background(), Options{Handler: srv, Batch: batch}); err == nil {
+			t.Fatalf("batch %d accepted", batch)
+		}
+		if n := srv.Store().Len(); n != 0 {
+			t.Fatalf("batch %d: %d sessions created before the rejection", batch, n)
+		}
 	}
 }
 

@@ -19,11 +19,9 @@
 //     internal/obs telemetry in the request path and server-side
 //     internal/fault chaos specs per session.
 //   - Batch plane (batch.go, batchcodec.go): POST /v1/batch executes
-//     many step/reward ops per request. Sessions whose agents qualify
-//     live in struct-of-arrays slabs (core.Slab); the batch handler
-//     groups ops by slab and runs them through the StepBatch and
-//     RewardBatch column kernels with a zero-allocation request codec,
-//     preserving per-session protocol semantics exactly.
+//     many step/reward ops per request, each through the same Session
+//     call the scalar endpoints make, in body order, with a
+//     zero-allocation request codec.
 //
 // The load generator lives in the loadgen subpackage; the CLI wrapping
 // both is cmd/mab-serve.

@@ -201,15 +201,10 @@ type Session struct {
 	drive core.Controller // agent, behind the spec's fault wrapper when armed
 
 	// Slab placement. Plain-agent sessions live in their shard's
-	// struct-of-arrays arena: slab/slot locate the agent's row and
-	// slabOrd gives slabs a stable total order for multi-session lock
-	// acquisition. kernelOK marks sessions the /v1/batch kernels may
-	// sweep directly: slab-resident with no fault wrapper in the drive
-	// path. Meta and fixed-arm sessions have a nil slab.
-	slab     *core.Slab
-	slot     int
-	slabOrd  uint64
-	kernelOK bool
+	// struct-of-arrays arena at slab/slot, which Store.Delete frees. Meta,
+	// contextual and fixed-arm sessions have a nil slab.
+	slab *core.Slab
+	slot int
 
 	// deleted is set (under mu) by Store.Delete after the session left
 	// the id map and before its slab slot is freed. An operation that
@@ -314,8 +309,7 @@ func (s *Session) StepWithContext(ctxVec []float64) (seq uint64, arm int, err er
 	}
 	// A context on a non-contextual session is rejected before the
 	// step-open check: the request is malformed no matter what protocol
-	// state the session is in, so the answer cannot depend on op ordering
-	// (the batch plane runs demoted ops after kernel ops).
+	// state the session is in.
 	var cs core.ContextSetter
 	if ctxVec != nil {
 		var ok bool
@@ -326,14 +320,18 @@ func (s *Session) StepWithContext(ctxVec []float64) (seq uint64, arm int, err er
 			}
 		}
 	}
-	if err := s.lockedCheckStep(); err != nil {
-		return 0, 0, err
+	if s.open {
+		return 0, 0, &ProtocolError{
+			Code: CodeStepOpen,
+			Msg:  fmt.Sprintf("decision %d is awaiting its reward", s.seq),
+		}
 	}
 	if cs != nil {
 		cs.SetContext(sig)
 	}
 	arm = s.drive.Step()
-	return s.lockedCommitStep(arm), arm, nil
+	s.open, s.arm = true, arm
+	return s.seq, arm, nil
 }
 
 // Reward closes the decision identified by seq with the observed reward.
@@ -345,64 +343,20 @@ func (s *Session) Reward(seq uint64, reward float64) (steps uint64, err error) {
 	if s.deleted {
 		return 0, errSessionDeleted(s.id)
 	}
-	if err := s.lockedCheckReward(seq); err != nil {
-		return 0, err
-	}
-	s.drive.Reward(reward)
-	return s.lockedCommitReward(), nil
-}
-
-// ---------------------------------------------------------------------
-// Locked protocol halves
-//
-// The /v1/batch handler validates and commits many sessions' operations
-// around two slab kernel sweeps, holding every group session's lock
-// across the whole group so each session's protocol check and kernel
-// effect form one atomic unit. These split check/commit halves are the
-// single implementation of the sequence protocol: the scalar Step and
-// Reward above are built from them, so the batch plane cannot drift from
-// the single-op semantics. All four must be called with s.mu held.
-
-// lockedCheckStep validates that a step may open.
-func (s *Session) lockedCheckStep() error {
-	if s.open {
-		return &ProtocolError{
-			Code: CodeStepOpen,
-			Msg:  fmt.Sprintf("decision %d is awaiting its reward", s.seq),
-		}
-	}
-	return nil
-}
-
-// lockedCommitStep records an opened step and returns its sequence
-// number.
-func (s *Session) lockedCommitStep(arm int) (seq uint64) {
-	s.open = true
-	s.arm = arm
-	return s.seq
-}
-
-// lockedCheckReward validates a reward post against the open decision.
-func (s *Session) lockedCheckReward(seq uint64) error {
 	if !s.open {
-		return &ProtocolError{
+		return 0, &ProtocolError{
 			Code: CodeNoOpenStep,
 			Msg:  fmt.Sprintf("no open decision (next step will be %d); duplicate reward?", s.seq),
 		}
 	}
 	if seq != s.seq {
-		return &ProtocolError{
+		return 0, &ProtocolError{
 			Code: CodeSeqMismatch,
 			Msg:  fmt.Sprintf("reward for decision %d, but decision %d is open", seq, s.seq),
 		}
 	}
-	return nil
-}
-
-// lockedCommitReward records a delivered reward and returns the
-// completed decision count.
-func (s *Session) lockedCommitReward() (steps uint64) {
+	s.drive.Reward(reward)
 	s.open = false
 	s.seq++
-	return s.seq
+	return s.seq, nil
 }

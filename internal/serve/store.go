@@ -20,14 +20,11 @@ const DefaultShards = 64
 //
 // Each shard also owns the slab arenas its plain-agent sessions live in:
 // contiguous struct-of-arrays chunks, one arena per arm count, allocated
-// and freed under the shard's write lock. Keeping arenas shard-local
-// means a batch request that grouped its operations by shard touches
-// slabs no other shard's traffic allocates from.
+// and freed under the shard's write lock.
 type Store struct {
-	shards  []shard
-	mask    uint32
-	nextID  atomic.Uint64
-	slabSeq atomic.Uint64 // total order over slab chunks, for batch lock ordering
+	shards []shard
+	mask   uint32
+	nextID atomic.Uint64
 }
 
 type shard struct {
@@ -44,25 +41,16 @@ type shard struct {
 // within their chunk — so agent pointers and table views stay valid for
 // a session's whole life.
 type slabArena struct {
-	chunks []*arenaChunk
-}
-
-// arenaChunk pairs a slab with its store-wide allocation ordinal. The
-// ordinal gives every chunk a stable total order; the batch plane sorts
-// multi-session lock acquisition by (ord, slot) to stay deadlock-free.
-type arenaChunk struct {
-	slab *core.Slab
-	ord  uint64
+	chunks []*core.Slab
 }
 
 // chunkSlots sizes an arena's next chunk from the slots the arena
 // already holds. The first chunk has 4 slots; each later one
 // matches the arena's capacity so far, so the arena doubles, until
 // chunks reach the full size: ~8192 table floats, clamped to [16, 512]
-// slots (the batch plane's sort key gives the slot 12 bits). Storage is
-// thus paid per session — 128 DUCB-8 sessions over 64 shards hold
-// ~1.5 KB each — while a shard with thousands of sessions still
-// amortizes its per-chunk bookkeeping over full-size chunks.
+// slots. Storage is thus paid per session — 128 DUCB-8 sessions over 64
+// shards hold ~1.5 KB each — while a shard with thousands of sessions
+// still amortizes its per-chunk bookkeeping over full-size chunks.
 func chunkSlots(arms, held int) int {
 	const firstSlots, targetFloats = 4, 8192
 	full := min(max(targetFloats/arms, 16), 512)
@@ -115,7 +103,7 @@ func (st *Store) shardFor(id string) *shard {
 // given arm count, growing the arena by one chunkSlots-sized chunk when
 // every chunk is full. Session create and checkpoint restore both place
 // agents through it. The caller must hold sh.mu for writing.
-func (st *Store) lockedChunkFor(sh *shard, arms int) *arenaChunk {
+func lockedChunkFor(sh *shard, arms int) *core.Slab {
 	ar := sh.arenas[arms]
 	if ar == nil {
 		ar = &slabArena{}
@@ -123,15 +111,12 @@ func (st *Store) lockedChunkFor(sh *shard, arms int) *arenaChunk {
 	}
 	held := 0
 	for _, c := range ar.chunks {
-		if c.slab.Live() < c.slab.Cap() {
+		if c.Live() < c.Cap() {
 			return c
 		}
-		held += c.slab.Cap()
+		held += c.Cap()
 	}
-	c := &arenaChunk{
-		slab: core.MustNewSlab(arms, chunkSlots(arms, held)),
-		ord:  st.slabSeq.Add(1),
-	}
+	c := core.MustNewSlab(arms, chunkSlots(arms, held))
 	ar.chunks = append(ar.chunks, c)
 	return c
 }
@@ -139,35 +124,26 @@ func (st *Store) lockedChunkFor(sh *shard, arms int) *arenaChunk {
 // lockedBuildSession constructs a session in sh, placing plain agents in
 // the shard's slab arena. The caller must hold sh.mu for writing and
 // registers the returned session itself.
-func (st *Store) lockedBuildSession(sh *shard, id string, spec Spec) (*Session, error) {
-	var chunk *arenaChunk
+func lockedBuildSession(sh *shard, id string, spec Spec) (*Session, error) {
+	var slab *core.Slab
 	var slot int
 	alloc := func(cfg core.Config) (*core.Agent, error) {
-		c := st.lockedChunkFor(sh, cfg.Arms)
-		a, sl, err := c.slab.Alloc(cfg)
+		c := lockedChunkFor(sh, cfg.Arms)
+		a, sl, err := c.Alloc(cfg)
 		if err != nil {
 			return nil, err
 		}
-		chunk, slot = c, sl
+		slab, slot = c, sl
 		return a, nil
 	}
 	agent, drive, err := buildController(spec, alloc)
 	if err != nil {
-		if chunk != nil {
-			chunk.slab.Free(slot)
+		if slab != nil {
+			slab.Free(slot)
 		}
 		return nil, err
 	}
-	s := &Session{id: id, spec: spec, agent: agent, drive: drive}
-	if chunk != nil {
-		s.slab, s.slot, s.slabOrd = chunk.slab, slot, chunk.ord
-		// The batch kernels drive the agent directly, bypassing the
-		// session's drive controller; that is only sound when the drive
-		// IS the agent (fault.Controller returns its inner controller
-		// unchanged when the spec arms no faults).
-		s.kernelOK = drive == core.Controller(agent)
-	}
-	return s, nil
+	return &Session{id: id, spec: spec, agent: agent, drive: drive, slab: slab, slot: slot}, nil
 }
 
 // Create builds a session from spec under a fresh id and registers it.
@@ -187,7 +163,7 @@ func (st *Store) Create(spec Spec) (*Session, error) {
 			sh.mu.Unlock()
 			continue
 		}
-		s, err := st.lockedBuildSession(sh, id, spec)
+		s, err := lockedBuildSession(sh, id, spec)
 		if err != nil {
 			sh.mu.Unlock()
 			return nil, err
