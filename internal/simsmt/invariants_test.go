@@ -7,33 +7,63 @@ import (
 )
 
 // checkInvariants validates every structural invariant of the pipeline
-// after each simulated chunk: occupancies non-negative, shared structures
-// within capacity, and commit counts monotone.
+// after each simulated chunk: every occupancy lane matches a recount from
+// the state it summarizes, shared structures are within capacity, and the
+// fetch queues are within their depth. A packed lane that went negative
+// would borrow from its neighbour rather than show a negative count, so
+// the recount, not a sign test, is what catches it:
+//   - ROB, LQ, IRF, FRF and branches are recounted from the ROB ring;
+//   - IQ is the thread's IQ releases pending in the wheel;
+//   - SQ is the stores in the ROB plus the thread's pending SQ releases.
 func checkInvariants(t *testing.T, sim *SMT) {
 	t.Helper()
 	cfg := sim.cfg
-	var rob, iq, lq, sq, irf, frf int
+	var pending [2][2]int // [thread][releaseIQ or releaseSQ]
+	for _, slot := range sim.releases.slots {
+		for l := 0; l < 4; l++ {
+			pending[l>>1][l&1] += int(uint16(slot >> (16 * l)))
+		}
+	}
+	for _, r := range sim.releases.far {
+		pending[r>>1&1][r&1]++
+	}
+	var total [numLanes]int
 	for ti, th := range sim.threads {
-		for name, v := range map[string]int{
-			"rob": th.robCount, "iq": th.iq, "lq": th.lq, "sq": th.sq,
-			"irf": th.intRegs, "frf": th.fpRegs, "branches": th.branches,
-		} {
-			if v < 0 {
-				t.Fatalf("cycle %d: thread %d %s occupancy negative (%d)",
-					sim.Cycle(), ti, name, v)
+		var want [numLanes]int
+		stores := 0
+		for k := 0; k < th.robCount; k++ {
+			e := th.rob[(th.robHead+k)%len(th.rob)]
+			for l := range want {
+				want[l] += field(e.frees, l)
 			}
+			if e.drainAt != 0 {
+				stores++
+			}
+		}
+		want[laneIQ] = pending[ti][releaseIQ]
+		want[laneSQ] = stores + pending[ti][releaseSQ]
+		if want[laneROB] != th.robCount {
+			t.Fatalf("cycle %d: thread %d ROB entries free %d ROB lanes, want robCount %d",
+				sim.Cycle(), ti, want[laneROB], th.robCount)
+		}
+		if th.occ>>(laneBits*numLanes) != 0 {
+			t.Fatalf("cycle %d: thread %d occupancy word %#x has bits above its lanes",
+				sim.Cycle(), ti, th.occ)
+		}
+		for l, w := range want {
+			if got := field(th.occ, l); got != w {
+				t.Fatalf("cycle %d: thread %d lane %d holds %d, recount %d (%s)",
+					sim.Cycle(), ti, l, got, w, sim.Occupancies())
+			}
+			total[l] += w
 		}
 		if th.qLen < 0 || th.qLen > cfg.FetchQCap {
 			t.Fatalf("cycle %d: thread %d fetch queue %d outside [0,%d]",
 				sim.Cycle(), ti, th.qLen, cfg.FetchQCap)
 		}
-		rob += th.robCount
-		iq += th.iq
-		lq += th.lq
-		sq += th.sq
-		irf += th.intRegs
-		frf += th.fpRegs
 	}
+	rob, iq, lq, sq, irf, frf := total[laneROB], total[laneIQ], total[laneLQ],
+		total[laneSQ], total[laneIRF], total[laneFRF]
 	if rob > cfg.ROBSize {
 		t.Fatalf("cycle %d: ROB over capacity (%d > %d)", sim.Cycle(), rob, cfg.ROBSize)
 	}
@@ -46,7 +76,7 @@ func checkInvariants(t *testing.T, sim *SMT) {
 	if irf > cfg.IRFSize || frf > cfg.FRFSize {
 		t.Fatalf("cycle %d: register files over capacity (%d/%d)", sim.Cycle(), irf, frf)
 	}
-	// IQ entries are released by heap events that may lag the current
+	// IQ entries are released by wheel events that may lag the current
 	// cycle by design; occupancy must still never exceed capacity.
 	if iq > cfg.IQSize {
 		t.Fatalf("cycle %d: IQ over capacity (%d > %d)", sim.Cycle(), iq, cfg.IQSize)

@@ -53,27 +53,76 @@ func (r RenameStats) Stalled() int64 {
 // Total returns the accounted cycles.
 func (r RenameStats) Total() int64 { return r.Stalled() + r.Idle + r.Running }
 
-// fetchedUop is a uop in the fetch/decode queue.
-type fetchedUop struct {
-	uop         smtwork.Uop
-	renameReady int64
-}
-
 // robEntry is an in-flight uop awaiting in-order commit.
 type robEntry struct {
 	complete int64
-	drainAt  int64 // stores: when the SQ entry frees (0 otherwise)
-	kind     smtwork.UopKind
-	intReg   bool
-	fpReg    bool
+	drainAt  int64  // stores: when the SQ entry frees (0 otherwise)
+	frees    uint64 // the lanes commit frees: the uop's lanes but IQ and SQ
+}
+
+// A thread's occupancy of its structures is one word of seven 9-bit
+// lanes, in the order the paper's Fig. 15 lists the structures, then the
+// branches in the ROB (the BrC metric). A lane counts at most laneMax,
+// which New checks against every structure's size, so the sum of the two
+// threads' lanes plus one more uop plus limit biases of laneMax − size
+// stays below 2·(laneMax+1): the top bit of a lane, its flag, is set iff
+// the sum exceeds the size, and no lane carries into the next.
+const (
+	laneROB = iota
+	laneIQ
+	laneLQ
+	laneSQ
+	laneIRF
+	laneFRF
+	laneBranch
+	numLanes
+
+	laneBits = 9
+	laneMax  = 1<<(laneBits-1) - 1
+	laneOnes = (1<<(laneBits*numLanes) - 1) / (1<<laneBits - 1) // 1 in every lane
+	// flagMask holds the flags of the six capacity-limited lanes.
+	flagMask = (laneOnes &^ (1 << (laneBits * laneBranch))) << (laneBits - 1)
+)
+
+// lane returns 1 in lane l.
+func lane(l int) uint64 { return 1 << (laneBits * l) }
+
+// field returns lane l of an occupancy word.
+func field(occ uint64, l int) int { return int(occ>>(laneBits*l)) & (1<<laneBits - 1) }
+
+// kindLanes are the lanes each uop kind takes at rename: a ROB and an IQ
+// entry, an LQ or SQ entry for a load or store, a rename register, and a
+// branch count.
+var kindLanes = [...]uint64{
+	smtwork.UopALU:    lane(laneROB) + lane(laneIQ) + lane(laneIRF),
+	smtwork.UopFP:     lane(laneROB) + lane(laneIQ) + lane(laneFRF),
+	smtwork.UopLoad:   lane(laneROB) + lane(laneIQ) + lane(laneLQ) + lane(laneIRF),
+	smtwork.UopStore:  lane(laneROB) + lane(laneIQ) + lane(laneSQ),
+	smtwork.UopBranch: lane(laneROB) + lane(laneIQ) + lane(laneBranch),
+}
+
+// storeMask is all ones for a store and zero otherwise, to keep drainAt
+// zero for every other kind without a branch.
+var storeMask = [len(kindLanes)]int64{smtwork.UopStore: -1}
+
+// laneCause maps a set flag's lane to its Fig. 15 stall cause.
+var laneCause = [numLanes]stallCause{
+	laneROB: stallROB, laneIQ: stallIQ, laneLQ: stallLQ, laneSQ: stallSQ,
+	laneIRF: stallRF, laneFRF: stallRF,
 }
 
 // thread is one hardware context.
 type thread struct {
 	gen *smtwork.Gen
 
-	fetchQ      []fetchedUop // ring of a power-of-two length >= FetchQCap
-	qHead, qLen int
+	// uops is a ring, of a power-of-two length, over the thread's uop
+	// stream: the fetch/decode queue's qLen uops from qHead on, then
+	// ahead uops the generator has drawn that fetch has not taken yet.
+	// renameReady[i] is the cycle uops[i] reaches rename.
+	uops               []smtwork.Uop
+	renameReady        []int64
+	qHead, qLen, ahead int
+
 	awaitBranch bool  // a fetched mispredict blocks further fetch
 	blockedTill int64 // front-end redirect in progress
 
@@ -81,10 +130,7 @@ type thread struct {
 	robHead  int
 	robCount int
 
-	iq, lq, sq int // occupancies
-	intRegs    int
-	fpRegs     int
-	branches   int // branches in ROB (BrC metric)
+	occ uint64 // lanes: ROB, IQ, LQ, SQ, IRF, FRF, branches
 
 	completions []int64 // recent uop completion cycles (dep window ring)
 	seq         int64   // uops renamed so far
@@ -92,8 +138,16 @@ type thread struct {
 	committed int64
 }
 
+// uopBatch is the most uops fetch draws from a generator at once, past
+// the fetch queue. The uop stream does not depend on pipeline timing, so
+// drawing ahead is exact.
+const uopBatch = 64
+
 // occupied is the thread's shared-structure occupancy (ROB+IQ+LQ+SQ).
-func (t *thread) occupied() int64 { return int64(t.robCount + t.iq + t.lq + t.sq) }
+func (t *thread) occupied() int64 {
+	o := t.occ
+	return int64(field(o, laneROB) + field(o, laneIQ) + field(o, laneLQ) + field(o, laneSQ))
+}
 
 // releaseWheel is the calendar of scheduled structure releases (IQ frees
 // at issue, SQ at drain). Slot c&wheelMask holds the releases due at cycle
@@ -124,11 +178,10 @@ const (
 
 	releaseIQ = 0
 	releaseSQ = 1
-
-	// laneMax is a lane's capacity. A lane never counts more releases
-	// than its structure has entries, so New caps IQSize and SQSize.
-	laneMax = 1<<16 - 1
 )
+
+// A wheel lane never counts more releases than its structure has
+// entries, which New caps at laneMax, so the 16-bit lanes cannot overflow.
 
 // push schedules a release at cycle, which is after now, the last cycle
 // passed to due.
@@ -251,6 +304,13 @@ type SMT struct {
 
 	disabled [2]bool // threads excluded from fetch (solo-IPC baselines)
 
+	// limitBias holds laneMax − size in each capacity-limited lane (see
+	// resourceBlock).
+	limitBias uint64
+	// gateBias and gateMask are the fetch gate (see setGates).
+	gateBias [2]uint64
+	gateMask uint64
+
 	occAccum [2]int64 // per-thread occupancy integral (ROB+IQ+LQ+SQ per cycle)
 }
 
@@ -262,15 +322,23 @@ func New(cfg Config, genA, genB *smtwork.Gen) *SMT {
 	if cfg.DepWindow < 1 || cfg.DepWindow&(cfg.DepWindow-1) != 0 {
 		panic("simsmt: DepWindow must be a power of two")
 	}
-	if cfg.IQSize > laneMax || cfg.SQSize > laneMax {
-		panic("simsmt: IQ and SQ sizes must fit the release wheel's lanes")
-	}
 	s := &SMT{cfg: cfg, policy: ChoiPolicy}
+	for l, size := range s.limits() {
+		if size < 0 || size > laneMax {
+			panic(fmt.Sprintf("simsmt: structure sizes must be in [0, %d]", laneMax))
+		}
+		if l != laneBranch {
+			s.limitBias += uint64(laneMax-size) * lane(l)
+		}
+	}
 	s.share = [2]float64{0.5, 0.5}
+	s.setGates()
+	ring := 1 << bits.Len(uint(max(cfg.FetchQCap, 0)+uopBatch-1))
 	for i, g := range []*smtwork.Gen{genA, genB} {
 		s.threads[i] = &thread{
 			gen:         g,
-			fetchQ:      make([]fetchedUop, 1<<bits.Len(uint(max(cfg.FetchQCap, 1)-1))),
+			uops:        make([]smtwork.Uop, ring),
+			renameReady: make([]int64, ring),
 			rob:         make([]robEntry, cfg.ROBSize),
 			completions: make([]int64, cfg.DepWindow),
 		}
@@ -278,8 +346,56 @@ func New(cfg Config, genA, genB *smtwork.Gen) *SMT {
 	return s
 }
 
+// limits returns each lane's structure size. The branch lane has none of
+// its own: branches sit in the ROB.
+func (s *SMT) limits() [numLanes]int {
+	c := &s.cfg
+	return [numLanes]int{laneROB: c.ROBSize, laneIQ: c.IQSize, laneLQ: c.LQSize,
+		laneSQ: c.SQSize, laneIRF: c.IRFSize, laneFRF: c.FRFSize}
+}
+
+// gateFlags are the lane flags each gating-mask bit watches. LQ and SQ
+// gate separately: a thread hogging one of them (lbm's store-queue
+// appetite, §3.3) must trip the gate even when the other queue is idle.
+var gateFlags = [numGates]uint64{
+	GateIQ:  lane(laneIQ) << (laneBits - 1),
+	GateLSQ: (lane(laneLQ) | lane(laneSQ)) << (laneBits - 1),
+	GateROB: lane(laneROB) << (laneBits - 1),
+	GateIRF: lane(laneIRF) << (laneBits - 1),
+}
+
+// setGates rebuilds the fetch gate from the policy and the shares. A
+// thread is over its share of a structure of size n iff its lane x
+// exceeds share·n, and for an integer x that is x > floor(share·n). So
+// gateBias holds laneMax − floor(share·n) in every lane a gate can watch,
+// the sum of a lane and its bias sets the lane's flag iff the thread is
+// over, and gateMask keeps the flags the policy watches. A NaN share
+// (SetShare passes one through) puts no bias in the lane, which never
+// sets a flag, as NaN never compares greater.
+func (s *SMT) setGates() {
+	s.gateMask = 0
+	for g, on := range s.policy.Gate {
+		if on {
+			s.gateMask |= gateFlags[g]
+		}
+	}
+	limits := s.limits()
+	for ti, share := range s.share {
+		var bias uint64
+		for _, l := range [...]int{laneROB, laneIQ, laneLQ, laneSQ, laneIRF} {
+			if y := share * float64(limits[l]); y == y {
+				bias += uint64(laneMax-int(y)) * lane(l)
+			}
+		}
+		s.gateBias[ti] = bias
+	}
+}
+
 // SetPolicy switches the fetch PG policy.
-func (s *SMT) SetPolicy(p Policy) { s.policy = p }
+func (s *SMT) SetPolicy(p Policy) {
+	s.policy = p
+	s.setGates()
+}
 
 // Policy returns the active fetch PG policy.
 func (s *SMT) Policy() Policy { return s.policy }
@@ -294,6 +410,7 @@ func (s *SMT) SetShare(share float64) {
 		share = 0.9
 	}
 	s.share = [2]float64{share, 1 - share}
+	s.setGates()
 }
 
 // Share returns thread 0's structure share.
@@ -353,11 +470,9 @@ func (s *SMT) stepCycle() bool {
 	}
 	lanes := s.releases.due(s.cycle)
 	if lanes != 0 {
-		t0, t1 := s.threads[0], s.threads[1]
-		t0.iq -= int(uint16(lanes))
-		t0.sq -= int(uint16(lanes >> 16))
-		t1.iq -= int(uint16(lanes >> 32))
-		t1.sq -= int(uint16(lanes >> 48))
+		const iq, sq = laneBits * laneIQ, laneBits * laneSQ
+		s.threads[0].occ -= lanes&0xffff<<iq + lanes>>16&0xffff<<sq
+		s.threads[1].occ -= lanes>>32&0xffff<<iq + lanes>>48<<sq
 	}
 	committed := s.commit()
 	counter, renamed := s.renameStage(s.cycle)
@@ -380,8 +495,8 @@ func (s *SMT) skipDead(bound int64) {
 		if t.robCount > 0 {
 			next = min(next, t.rob[t.robHead].complete)
 		}
-		if t.qLen > 0 && t.fetchQ[t.qHead].renameReady > s.cycle {
-			next = min(next, t.fetchQ[t.qHead].renameReady)
+		if t.qLen > 0 && t.renameReady[t.qHead] > s.cycle {
+			next = min(next, t.renameReady[t.qHead])
 		}
 		if t.blockedTill > s.cycle {
 			next = min(next, t.blockedTill)
@@ -420,24 +535,13 @@ func (s *SMT) commit() bool {
 			if e.complete > s.cycle {
 				break
 			}
-			switch e.kind {
-			case smtwork.UopLoad:
-				t.lq--
-			case smtwork.UopStore:
-				drain := e.drainAt
+			t.occ -= e.frees
+			if drain := e.drainAt; drain != 0 {
 				if drain <= s.cycle {
-					t.sq--
+					t.occ -= lane(laneSQ)
 				} else {
 					s.releases.push(s.cycle, drain, ti, releaseSQ)
 				}
-			case smtwork.UopBranch:
-				t.branches--
-			}
-			if e.intReg {
-				t.intRegs--
-			}
-			if e.fpReg {
-				t.fpRegs--
 			}
 			t.robHead++
 			if t.robHead == len(t.rob) {
@@ -473,23 +577,23 @@ func (s *SMT) renameStage(at int64) (counter *int64, renamed bool) {
 
 	first := int(at) & 1
 	for _, ti := range [2]int{first, first ^ 1} {
-		t := s.threads[ti]
+		t, o := s.threads[ti], s.threads[ti^1]
 		for budget > 0 {
 			if t.qLen == 0 {
 				break
 			}
-			f := &t.fetchQ[t.qHead]
-			if f.renameReady > at {
+			if t.renameReady[t.qHead] > at {
 				break
 			}
-			if c := s.resourceBlock(t, &f.uop); c != stallNone {
+			u := &t.uops[t.qHead]
+			if c := s.resourceBlock(t, o, u.Kind); c != stallNone {
 				if cause == stallNone {
 					cause = c
 				}
 				break // in-order rename: head blocks the thread
 			}
-			s.renameUop(ti, t, &f.uop)
-			t.qHead = (t.qHead + 1) & (len(t.fetchQ) - 1)
+			s.renameUop(ti, t, u)
+			t.qHead = (t.qHead + 1) & (len(t.uops) - 1)
 			t.qLen--
 			budget--
 		}
@@ -513,87 +617,53 @@ func (s *SMT) renameStage(at int64) (counter *int64, renamed bool) {
 	}
 }
 
-// resourceBlock reports which shared structure, if any, blocks renaming u.
-// Structures are checked in the order the paper's Fig. 15 lists them.
-func (s *SMT) resourceBlock(t *thread, u *smtwork.Uop) stallCause {
-	other := s.otherOccupancy(t)
-	if t.robCount+other.rob >= s.cfg.ROBSize {
-		return stallROB
+// resourceBlock reports which shared structure, if any, blocks renaming a
+// uop of kind k for thread t beside its sibling o: the first full one in
+// the order the paper's Fig. 15 lists them. The two threads' lanes plus
+// the uop's, plus limitBias, set a lane's flag iff the lane's sum would
+// exceed its size, which is the test sum >= size before the uop. A lane
+// the uop does not take never exceeds its size, so it never flags, and the
+// lowest flag is the cause.
+func (s *SMT) resourceBlock(t, o *thread, k smtwork.UopKind) stallCause {
+	flags := (t.occ + o.occ + kindLanes[k] + s.limitBias) & flagMask
+	if flags == 0 {
+		return stallNone
 	}
-	if t.iq+other.iq >= s.cfg.IQSize {
-		return stallIQ
-	}
-	if u.Kind == smtwork.UopLoad && t.lq+other.lq >= s.cfg.LQSize {
-		return stallLQ
-	}
-	if u.Kind == smtwork.UopStore && t.sq+other.sq >= s.cfg.SQSize {
-		return stallSQ
-	}
-	if u.UsesIntReg() && t.intRegs+other.intRegs >= s.cfg.IRFSize {
-		return stallRF
-	}
-	if u.UsesFPReg() && t.fpRegs+other.fpRegs >= s.cfg.FRFSize {
-		return stallRF
-	}
-	return stallNone
-}
-
-// occupancy snapshot of the sibling thread.
-type occupancy struct {
-	rob, iq, lq, sq, intRegs, fpRegs int
-}
-
-func (s *SMT) otherOccupancy(t *thread) occupancy {
-	var o *thread
-	if s.threads[0] == t {
-		o = s.threads[1]
-	} else {
-		o = s.threads[0]
-	}
-	return occupancy{rob: o.robCount, iq: o.iq, lq: o.lq, sq: o.sq,
-		intRegs: o.intRegs, fpRegs: o.fpRegs}
+	return laneCause[bits.TrailingZeros64(flags)/laneBits]
 }
 
 // renameUop allocates structures, schedules execution, and handles branch
 // redirects.
 func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 	// Dependence: producer completion by program-order distance.
-	start := s.cycle + 1
+	// A uop has a producer iff 0 < DepDist <= seq, one unsigned compare;
+	// the ring read is in bounds either way and a select, not a branch,
+	// discards it.
 	window := int64(len(t.completions) - 1)
-	if u.DepDist > 0 && int64(u.DepDist) <= t.seq {
-		pc := t.completions[(t.seq-int64(u.DepDist))&window]
-		if pc > start {
-			start = pc
-		}
+	pc := t.completions[(t.seq-int64(u.DepDist))&window]
+	if uint64(u.DepDist-1) >= uint64(t.seq) {
+		pc = 0
 	}
+	start := max(s.cycle+1, pc)
 	complete := start + u.Lat
 
-	// IQ entry held from rename until the uop starts executing.
-	t.iq++
+	// The IQ entry is held from rename until the uop starts executing, and
+	// a store's SQ entry until its write drains; commit frees the rest.
+	lanes := kindLanes[u.Kind]
+	t.occ += lanes
 	s.releases.push(s.cycle, start, ti, releaseIQ)
-
-	e := robEntry{complete: complete, kind: u.Kind}
-	switch u.Kind {
-	case smtwork.UopLoad:
-		t.lq++
-	case smtwork.UopStore:
-		t.sq++
-		e.drainAt = complete + u.DrainLat
-	case smtwork.UopBranch:
-		t.branches++
-		if u.Mispredict {
-			// Redirect: fetch resumes after the branch resolves.
-			t.blockedTill = complete + s.cfg.MispredictRefill
-			t.awaitBranch = false
-		}
+	// A store's drainAt is at least 1, so it marks the entry as a store;
+	// commit, at a cycle of at least 1, frees the SQ entry at once for any
+	// drain already due.
+	e := robEntry{
+		complete: complete,
+		drainAt:  max(complete+u.DrainLat, 1) & storeMask[u.Kind],
+		frees:    lanes &^ (lane(laneIQ) | lane(laneSQ)),
 	}
-	if u.UsesIntReg() {
-		t.intRegs++
-		e.intReg = true
-	}
-	if u.UsesFPReg() {
-		t.fpRegs++
-		e.fpReg = true
+	if u.Mispredict {
+		// Redirect: fetch resumes after the branch resolves.
+		t.blockedTill = complete + s.cfg.MispredictRefill
+		t.awaitBranch = false
 	}
 
 	tail := t.robHead + t.robCount
@@ -616,12 +686,19 @@ func (s *SMT) fetch() bool {
 	}
 	t := s.threads[ti]
 	ready := s.cycle + s.cfg.FrontLatency
+	mask := len(t.uops) - 1
 	for k := 0; k < s.cfg.FetchWidth && t.qLen < s.cfg.FetchQCap; k++ {
-		f := &t.fetchQ[(t.qHead+t.qLen)&(len(t.fetchQ)-1)]
-		t.gen.Next(&f.uop)
-		f.renameReady = ready
+		tail := (t.qHead + t.qLen) & mask
+		if t.ahead == 0 {
+			// Draw up to uopBatch uops into the free run from the tail,
+			// which ends at the ring's end or at the queue's head.
+			t.ahead = min(uopBatch, len(t.uops)-tail, len(t.uops)-t.qLen)
+			t.gen.Fill(t.uops[tail : tail+t.ahead])
+		}
+		t.renameReady[tail] = ready
 		t.qLen++
-		if f.uop.Kind == smtwork.UopBranch && f.uop.Mispredict {
+		t.ahead--
+		if t.uops[tail].Mispredict { // only branches mispredict
 			// Stop fetching this thread until the branch is renamed and
 			// resolved (wrong-path suppression).
 			t.awaitBranch = true
@@ -632,27 +709,9 @@ func (s *SMT) fetch() bool {
 }
 
 // gated reports whether thread ti exceeds its occupancy share in any
-// monitored structure.
+// structure the policy watches (see setGates).
 func (s *SMT) gated(ti int) bool {
-	t := s.threads[ti]
-	share := s.share[ti]
-	if s.policy.Gate[GateIQ] && float64(t.iq) > share*float64(s.cfg.IQSize) {
-		return true
-	}
-	// LQ and SQ gate separately: a thread hogging one of them (lbm's
-	// store-queue appetite, §3.3) must trip the gate even when the other
-	// queue is idle.
-	if s.policy.Gate[GateLSQ] && (float64(t.lq) > share*float64(s.cfg.LQSize) ||
-		float64(t.sq) > share*float64(s.cfg.SQSize)) {
-		return true
-	}
-	if s.policy.Gate[GateROB] && float64(t.robCount) > share*float64(s.cfg.ROBSize) {
-		return true
-	}
-	if s.policy.Gate[GateIRF] && float64(t.intRegs) > share*float64(s.cfg.IRFSize) {
-		return true
-	}
-	return false
+	return (s.threads[ti].occ+s.gateBias[ti])&s.gateMask != 0
 }
 
 // DisableThread excludes a thread from fetching entirely, turning the
@@ -686,14 +745,15 @@ func (s *SMT) chooseFetchThread() int {
 		return 1
 	}
 	// Both eligible: apply the priority metric (lower is better).
+	o0, o1 := s.threads[0].occ, s.threads[1].occ
 	switch s.policy.Priority {
 	case PriorityIC:
-		return argminThread(s.threads[0].iq, s.threads[1].iq, &s.rrNext)
+		return argminThread(field(o0, laneIQ), field(o1, laneIQ), &s.rrNext)
 	case PriorityBrC:
-		return argminThread(s.threads[0].branches, s.threads[1].branches, &s.rrNext)
+		return argminThread(field(o0, laneBranch), field(o1, laneBranch), &s.rrNext)
 	case PriorityLSQC:
-		return argminThread(s.threads[0].lq+s.threads[0].sq,
-			s.threads[1].lq+s.threads[1].sq, &s.rrNext)
+		return argminThread(field(o0, laneLQ)+field(o0, laneSQ),
+			field(o1, laneLQ)+field(o1, laneSQ), &s.rrNext)
 	default: // Round Robin
 		s.rrNext ^= 1
 		return s.rrNext
@@ -718,8 +778,10 @@ func argminThread(m0, m1 int, rr *int) int {
 func (s *SMT) Occupancies() string {
 	out := ""
 	for i, t := range s.threads {
+		o := t.occ
 		out += fmt.Sprintf("t%d: iq=%d rob=%d lq=%d sq=%d irf=%d frf=%d br=%d; ",
-			i, t.iq, t.robCount, t.lq, t.sq, t.intRegs, t.fpRegs, t.branches)
+			i, field(o, laneIQ), t.robCount, field(o, laneLQ), field(o, laneSQ),
+			field(o, laneIRF), field(o, laneFRF), field(o, laneBranch))
 	}
 	return out
 }

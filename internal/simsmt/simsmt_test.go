@@ -255,10 +255,13 @@ func TestBanditRunnerSavesHCPerArm(t *testing.T) {
 
 func TestNewPanicsOnBadWidths(t *testing.T) {
 	bad := map[string]func(*Config){
-		"zero":         func(c *Config) { *c = Config{} },
-		"dep-window":   func(c *Config) { c.DepWindow = 200 },
-		"iq-over-lane": func(c *Config) { c.IQSize = laneMax + 1 },
-		"sq-over-lane": func(c *Config) { c.SQSize = laneMax + 1 },
+		"zero":          func(c *Config) { *c = Config{} },
+		"dep-window":    func(c *Config) { c.DepWindow = 200 },
+		"iq-over-lane":  func(c *Config) { c.IQSize = laneMax + 1 },
+		"sq-over-lane":  func(c *Config) { c.SQSize = laneMax + 1 },
+		"rob-over-lane": func(c *Config) { c.ROBSize = laneMax + 1 },
+		"frf-over-lane": func(c *Config) { c.FRFSize = 1 << 12 },
+		"negative-lq":   func(c *Config) { c.LQSize = -1 },
 	}
 	for name, mutate := range bad {
 		t.Run(name, func(t *testing.T) {

@@ -34,9 +34,12 @@ func streamHash(p Profile, seed uint64, n int) string {
 	g := NewGen(p, seed)
 	h := sha256.New()
 	buf := make([]byte, 0, 4096*streamUopBytes)
-	var u Uop
+	var us [64]Uop
 	for i := 0; i < n; i++ {
-		g.Next(&u)
+		if i%len(us) == 0 {
+			g.Fill(us[:min(len(us), n-i)])
+		}
+		u := &us[i%len(us)]
 		mis := byte(0)
 		if u.Mispredict {
 			mis = 1

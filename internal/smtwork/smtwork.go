@@ -125,6 +125,9 @@ type Gen struct {
 	kindThr [4]uint64
 	// hitThr are the cumulative L1, L2 hit thresholds.
 	hitThr [2]uint64
+	// memBase and memSpan give a DRAM latency, MemLat ±25%: memBase plus
+	// a uniform draw below memSpan, or MemLat itself if memSpan is 0.
+	memBase, memSpan int64
 
 	loadChain, storeDRAM, mispredict, dep xrand.Coin
 }
@@ -146,6 +149,10 @@ func NewGen(p Profile, seed uint64) *Gen {
 	g.kindThr = [4]uint64{mixThreshold(p.LoadFrac), mixThreshold(ls),
 		mixThreshold(lsb), mixThreshold(lsb + p.FPFrac)}
 	g.hitThr = [2]uint64{mixThreshold(p.L1HitProb), mixThreshold(p.L1HitProb + p.L2HitProb)}
+	g.memBase, g.memSpan = p.MemLat, 0
+	if span := p.MemLat / 2; span > 0 {
+		g.memBase, g.memSpan = p.MemLat-span/2, span
+	}
 	g.loadChain = xrand.NewCoin(p.LoadChainProb)
 	g.storeDRAM = xrand.NewCoin(p.StoreDrainDRAMProb)
 	g.mispredict = xrand.NewCoin(p.MispredictProb)
@@ -173,72 +180,81 @@ func (g *Gen) Name() string { return g.p.Name }
 // Profile returns the generator's profile.
 func (g *Gen) Profile() Profile { return g.p }
 
-// flip is c's outcome, drawing a word only if c does.
-func (g *Gen) flip(c xrand.Coin) bool {
-	var u uint64
-	if c.Draws() {
-		u = g.rng.Uint64()
-	}
-	return c.Hit(u)
-}
-
-// Next fills in the next micro-op.
-func (g *Gen) Next(u *Uop) {
-	*u = Uop{Lat: 1}
-	k := g.rng.Uint64() >> 11
-	switch {
-	case k < g.kindThr[0]:
-		u.Kind = UopLoad
-		u.Lat = g.memLatency()
-		if g.flip(g.loadChain) && g.sinceLoad > 0 {
-			u.DepDist = g.sinceLoad // chain to the previous load
-		}
-		g.sinceLoad = 0
-	case k < g.kindThr[1]:
-		u.Kind = UopStore
-		u.Lat = 1
-		if g.flip(g.storeDRAM) {
-			u.DrainLat = g.jitter(g.p.MemLat)
-		} else {
+// Fill overwrites us with the next len(us) micro-ops of the stream. The
+// stream does not depend on how it is cut into batches.
+//
+// A uop draws, in order: its kind; for a load, its hit level, a DRAM
+// jitter if it misses both caches, and the load-chain coin; for a store,
+// the drain coin and a DRAM jitter if it hits; for a branch, the
+// mispredict coin; then, unless the uop already chains to a load, the
+// dependence coin and, on a hit, the distance. The xoshiro state stays in
+// locals across the batch and is written back at the end.
+func (g *Gen) Fill(us []Uop) {
+	st := g.rng.State()
+	s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
+	since := g.sinceLoad
+	kindThr, hitThr := g.kindThr, g.hitThr
+	memBase, memSpan := g.memBase, uint64(g.memSpan)
+	depSpan := uint64(2 * g.p.DepDistMean)
+	for i := range us {
+		var w uint64
+		w, s0, s1, s2, s3 = xrand.Step(s0, s1, s2, s3)
+		u := Uop{Lat: 1}
+		switch k := w >> 11; {
+		case k < kindThr[0]:
+			u.Kind = UopLoad
+			w, s0, s1, s2, s3 = xrand.Step(s0, s1, s2, s3)
+			switch h := w >> 11; {
+			case h < hitThr[0]:
+				u.Lat = 4
+			case h < hitThr[1]:
+				u.Lat = 16
+			default:
+				u.Lat = memBase
+				if memSpan > 0 {
+					w, s0, s1, s2, s3 = xrand.StepIntn(memSpan, s0, s1, s2, s3)
+					u.Lat += int64(w)
+				}
+			}
+			var chain bool
+			chain, s0, s1, s2, s3 = g.loadChain.Flip(s0, s1, s2, s3)
+			if chain && since > 0 {
+				u.DepDist = since // chain to the previous load
+			}
+			since = -1 // the increment below makes it 0
+		case k < kindThr[1]:
+			u.Kind = UopStore
+			var slow bool
+			slow, s0, s1, s2, s3 = g.storeDRAM.Flip(s0, s1, s2, s3)
 			u.DrainLat = 8
+			if slow {
+				u.DrainLat = memBase
+				if memSpan > 0 {
+					w, s0, s1, s2, s3 = xrand.StepIntn(memSpan, s0, s1, s2, s3)
+					u.DrainLat += int64(w)
+				}
+			}
+		case k < kindThr[2]:
+			u.Kind = UopBranch
+			u.Mispredict, s0, s1, s2, s3 = g.mispredict.Flip(s0, s1, s2, s3)
+		case k < kindThr[3]:
+			u.Kind = UopFP
+			u.Lat = g.p.FPLat
+		default:
+			u.Kind = UopALU
 		}
-		g.sinceLoad++
-	case k < g.kindThr[2]:
-		u.Kind = UopBranch
-		u.Mispredict = g.flip(g.mispredict)
-		g.sinceLoad++
-	case k < g.kindThr[3]:
-		u.Kind = UopFP
-		u.Lat = g.p.FPLat
-		g.sinceLoad++
-	default:
-		u.Kind = UopALU
-		g.sinceLoad++
+		since++
+		// General dependence structure (skip if already chained).
+		if u.DepDist == 0 {
+			var dep bool
+			dep, s0, s1, s2, s3 = g.dep.Flip(s0, s1, s2, s3)
+			if dep {
+				w, s0, s1, s2, s3 = xrand.StepIntn(depSpan, s0, s1, s2, s3)
+				u.DepDist = 1 + int(w)
+			}
+		}
+		us[i] = u
 	}
-	// General dependence structure (skip if already chained).
-	if u.DepDist == 0 && g.flip(g.dep) {
-		u.DepDist = 1 + g.rng.Intn(2*g.p.DepDistMean)
-	}
-}
-
-// memLatency draws a load latency from the hit distribution.
-func (g *Gen) memLatency() int64 {
-	k := g.rng.Uint64() >> 11
-	switch {
-	case k < g.hitThr[0]:
-		return 4
-	case k < g.hitThr[1]:
-		return 16
-	default:
-		return g.jitter(g.p.MemLat)
-	}
-}
-
-// jitter returns lat ±25%.
-func (g *Gen) jitter(lat int64) int64 {
-	span := lat / 2
-	if span <= 0 {
-		return lat
-	}
-	return lat - span/2 + int64(g.rng.Intn(int(span)))
+	g.sinceLoad = since
+	g.rng.SetState([4]uint64{s0, s1, s2, s3})
 }

@@ -20,16 +20,27 @@ func TestUopKindString(t *testing.T) {
 	}
 }
 
+// TestGenDeterminism: two generators with one seed give one stream, and
+// the stream does not depend on the batch sizes Fill is called with.
 func TestGenDeterminism(t *testing.T) {
 	for _, p := range Profiles() {
 		a, b := NewGen(p, 42), NewGen(p, 42)
-		for i := 0; i < 1000; i++ {
-			var ua, ub Uop
-			a.Next(&ua)
-			b.Next(&ub)
-			if ua != ub {
-				t.Fatalf("%s: uop %d differs", p.Name, i)
+		whole := make([]Uop, 1000)
+		a.Fill(whole)
+		rng := xrand.New(uint64(len(p.Name)))
+		for i := 0; i < len(whole); {
+			n := min(1+rng.Intn(70), len(whole)-i)
+			batch := make([]Uop, n)
+			b.Fill(batch)
+			for j, u := range batch {
+				if u != whole[i+j] {
+					t.Fatalf("%s: uop %d differs", p.Name, i+j)
+				}
 			}
+			i += n
+		}
+		if a.rng.State() != b.rng.State() || a.sinceLoad != b.sinceLoad {
+			t.Fatalf("%s: generator state differs after the same stream", p.Name)
 		}
 	}
 }
@@ -40,9 +51,9 @@ func TestGenMixMatchesProfile(t *testing.T) {
 		const n = 50000
 		counts := map[UopKind]int{}
 		var chained int
-		for i := 0; i < n; i++ {
-			var u Uop
-			g.Next(&u)
+		us := make([]Uop, n)
+		g.Fill(us)
+		for _, u := range us {
 			counts[u.Kind]++
 			if u.Kind == UopLoad && u.DepDist > 0 {
 				chained++
@@ -78,9 +89,9 @@ func TestMemoryCharacterDiffers(t *testing.T) {
 		}
 		g := NewGen(p, 3)
 		var sum, n float64
-		for i := 0; i < 50000; i++ {
-			var u Uop
-			g.Next(&u)
+		us := make([]Uop, 50000)
+		g.Fill(us)
+		for _, u := range us {
 			if u.Kind == UopLoad {
 				sum += float64(u.Lat)
 				n++
@@ -102,9 +113,9 @@ func TestLbmStoreDrainPressure(t *testing.T) {
 	p, _ := ByName("lbm")
 	g := NewGen(p, 5)
 	var slowDrains, stores int
-	for i := 0; i < 50000; i++ {
-		var u Uop
-		g.Next(&u)
+	us := make([]Uop, 50000)
+	g.Fill(us)
+	for _, u := range us {
 		if u.Kind == UopStore {
 			stores++
 			if u.DrainLat > 50 {
@@ -167,9 +178,9 @@ func TestQuickUopInvariants(t *testing.T) {
 		ps := Profiles()
 		p := ps[int(profIdx)%len(ps)]
 		g := NewGen(p, seed)
-		for i := 0; i < 300; i++ {
-			var u Uop
-			g.Next(&u)
+		us := make([]Uop, 300)
+		g.Fill(us)
+		for _, u := range us {
 			if u.DepDist < 0 || u.DepDist > 200 {
 				return false
 			}
@@ -184,20 +195,22 @@ func TestQuickUopInvariants(t *testing.T) {
 	}
 }
 
-func BenchmarkGenNext(b *testing.B) {
+// BenchmarkGenFill times one uop of lbm's stream, generated in batches of
+// 64 as the SMT pipeline's fetch stage draws them.
+func BenchmarkGenFill(b *testing.B) {
 	p, _ := ByName("lbm")
 	g := NewGen(p, 1)
-	var u Uop
+	var us [64]Uop
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next(&u)
+	for i := 0; i < b.N; i += len(us) {
+		g.Fill(us[:min(len(us), b.N-i)])
 	}
-	sinkUop = u
+	sinkUop = us[0]
 }
 
 var sinkUop Uop
 
-// floatGen is the Float64/Bool formulation of Gen.Next that the integer
+// floatGen is the Float64/Bool formulation of Gen.Fill that the integer
 // thresholds replace, kept as the oracle for their edge cases.
 type floatGen struct {
 	p         Profile
@@ -298,12 +311,19 @@ func TestThresholdDrawsMatchFloat(t *testing.T) {
 		for _, seed := range []uint64{1, 99} {
 			g := NewGen(p, seed)
 			ref := &floatGen{p: g.Profile(), rng: xrand.New(seed)}
-			for i := 0; i < 20000; i++ {
-				var got, want Uop
-				g.Next(&got)
-				ref.next(&want)
-				if got != want {
-					t.Fatalf("%s/%d: uop %d = %+v, want %+v", name, seed, i, got, want)
+			// Batches of 1 to 64 uops: the stream must not depend on
+			// where a batch ends.
+			var got [64]Uop
+			for i := 0; i < 20000; {
+				batch := got[:1+i%len(got)]
+				g.Fill(batch)
+				for _, u := range batch {
+					var want Uop
+					ref.next(&want)
+					if u != want {
+						t.Fatalf("%s/%d: uop %d = %+v, want %+v", name, seed, i, u, want)
+					}
+					i++
 				}
 			}
 			if g.rng.State() != ref.rng.State() {

@@ -56,13 +56,15 @@ func splitMix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. It is Step over the
+// generator's own state, written out over locals so that it fits the
+// inliner's budget.
 func (r *Rand) Uint64() uint64 {
-	var out uint64
-	out, r.s[0], r.s[1], r.s[2], r.s[3] = Step(r.s[0], r.s[1], r.s[2], r.s[3])
-	return out
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Step is one xoshiro256** step over a state held in four words: it
@@ -72,14 +74,14 @@ func (r *Rand) Uint64() uint64 {
 // locals, and store it back with SetState before anything else uses the
 // generator.
 func Step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
-	out = rotl(s1*5, 7) * 9
+	out = bits.RotateLeft64(s1*5, 7) * 9
 	t := s1 << 17
 	s2 ^= s0
 	s3 ^= s1
 	s1 ^= s2
 	s0 ^= s3
 	s2 ^= t
-	return out, s0, s1, s2, rotl(s3, 45)
+	return out, s0, s1, s2, bits.RotateLeft64(s3, 45)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -87,26 +89,28 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with non-positive n")
 	}
-	// Lemire's multiply-shift rejection method for unbiased bounded output.
-	un := uint64(n)
-	v := r.Uint64()
-	hi, lo := mul64(v, un)
-	if lo < un {
-		thresh := -un % un
-		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = mul64(v, un)
-		}
-	}
-	return int(hi)
+	v, s0, s1, s2, s3 := StepIntn(uint64(n), r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return int(v)
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo). bits.Mul64
-// compiles to the single widening-multiply instruction on 64-bit
-// targets, and its result is the exact product, so swapping it in for
-// the old long-multiplication arithmetic cannot change any stream.
-func mul64(a, b uint64) (hi, lo uint64) {
-	return bits.Mul64(a, b)
+// StepIntn is Intn(n) over a state held in four words, as Step is Uint64:
+// it returns a uniform draw in [0, n) and the successor state. n must be
+// positive. It uses Lemire's multiply-shift rejection method, which is
+// unbiased and almost never draws a second word. bits.Mul64 compiles to
+// the single widening-multiply instruction on 64-bit targets.
+func StepIntn(n, s0, s1, s2, s3 uint64) (v, n0, n1, n2, n3 uint64) {
+	var u, lo uint64
+	u, s0, s1, s2, s3 = Step(s0, s1, s2, s3)
+	v, lo = bits.Mul64(u, n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			u, s0, s1, s2, s3 = Step(s0, s1, s2, s3)
+			v, lo = bits.Mul64(u, n)
+		}
+	}
+	return v, s0, s1, s2, s3
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
@@ -161,6 +165,17 @@ func (c Coin) Draws() bool { return c.draw }
 // draw must be given u = 0, which makes its fixed outcome fall out of
 // the same comparison.
 func (c Coin) Hit(u uint64) bool { return u < c.thr }
+
+// Flip is the coin's flip over a state held in four words, as Step is
+// Uint64: it returns the outcome and the successor state, which is the
+// state itself if the coin does not draw.
+func (c Coin) Flip(s0, s1, s2, s3 uint64) (hit bool, n0, n1, n2, n3 uint64) {
+	var u uint64
+	if c.draw {
+		u, s0, s1, s2, s3 = Step(s0, s1, s2, s3)
+	}
+	return u < c.thr, s0, s1, s2, s3
+}
 
 // NormFloat64 returns a normally distributed float64 with mean 0 and
 // standard deviation 1, using the polar (Marsaglia) method.

@@ -124,19 +124,23 @@ func flip(r *Rand, c Coin) bool {
 }
 
 // TestCoinMatchesBool pins Coin against Bool: over 1e6 flips per p the
-// outcomes agree one for one, and both generators end in the same state,
-// so the coin draws exactly as many words as Bool does.
+// outcomes agree one for one, both as Draws/Hit and as Flip over a state
+// held in locals, and every generator ends in the same state, so the
+// coin draws exactly as many words as Bool does.
 func TestCoinMatchesBool(t *testing.T) {
 	const draws = 1_000_000
 	for _, p := range coinProbes {
 		a, b := New(29), New(29)
+		s := New(29).State()
 		c := NewCoin(p)
 		for i := 0; i < draws; i++ {
-			if x, y := a.Bool(p), flip(b, c); x != y {
-				t.Fatalf("p=%v flip %d: Bool %v, coin %v", p, i, x, y)
+			var z bool
+			z, s[0], s[1], s[2], s[3] = c.Flip(s[0], s[1], s[2], s[3])
+			if x, y := a.Bool(p), flip(b, c); x != y || x != z {
+				t.Fatalf("p=%v flip %d: Bool %v, coin %v, Flip %v", p, i, x, y, z)
 			}
 		}
-		if a.State() != b.State() {
+		if a.State() != b.State() || a.State() != s {
 			t.Fatalf("p=%v: generator states diverged after %d flips", p, draws)
 		}
 	}
