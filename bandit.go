@@ -65,8 +65,8 @@ type (
 	// multi-bandit exploration orchestration of §8).
 	Coordinator = core.Coordinator
 	// Slab is the struct-of-arrays arena holding many agents' learned
-	// state contiguously; the decision server places its sessions' agents
-	// in slabs.
+	// state contiguously. Only the benchmark's core-layer probe builds
+	// multi-slot slabs; a standalone agent is a one-slot slab.
 	Slab = core.Slab
 )
 

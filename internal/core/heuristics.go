@@ -39,8 +39,7 @@ func (p *Single) UpdateSelections(t *Tables, arm int) {
 // UpdateReward implements Policy. The running average is maintained for
 // observability only — Single never revisits its choice.
 func (p *Single) UpdateReward(t *Tables, arm int, rStep float64) {
-	n := math.Max(t.N[arm], 1)
-	t.R[arm] += (rStep - t.R[arm]) / n
+	t.R[arm] += (rStep - t.R[arm]) / atLeast(t.N[arm], 1)
 }
 
 // Reset implements Policy.
@@ -149,8 +148,7 @@ func (p *Periodic) UpdateSelections(t *Tables, arm int) {
 func (p *Periodic) UpdateReward(t *Tables, arm int, rStep float64) {
 	p.ensure(t.Arms())
 	p.avg[arm].push(rStep)
-	n := math.Max(t.N[arm], 1)
-	t.R[arm] += (rStep - t.R[arm]) / n
+	t.R[arm] += (rStep - t.R[arm]) / atLeast(t.N[arm], 1)
 }
 
 // Reset implements Policy.

@@ -33,10 +33,20 @@ func discountSelect(t *Tables, gamma float64, arm int) {
 }
 
 // foldReward is the shared updRew: fold r_step into the running average,
-// r_arm += (r_step - r_arm) / n_arm.
+// r_arm += (r_step - r_arm) / max(n_arm, 1).
 func foldReward(t *Tables, arm int, rStep float64) {
-	n := math.Max(t.N[arm], 1)
-	t.R[arm] += (rStep - t.R[arm]) / n
+	t.R[arm] += (rStep - t.R[arm]) / atLeast(t.N[arm], 1)
+}
+
+// atLeast returns max(x, floor) for a positive floor. It equals
+// math.Max(x, floor) for every x, NaN included (NaN < floor is false),
+// but compiles to an inline compare; on amd64 math.Max is an
+// out-of-line assembly call on the agents' per-decision path.
+func atLeast(x, floor float64) float64 {
+	if x < floor {
+		return floor
+	}
+	return x
 }
 
 // epsNextArm is ε-Greedy's nextArm: argmax r_i with probability 1-ε,
@@ -104,10 +114,9 @@ func (p *UCB) Name() string { return "UCB" }
 // r_i + c*sqrt(ln(n_total)/n_i).
 func argmaxPotential(t *Tables, c float64) int {
 	best, bestP := 0, math.Inf(-1)
-	lnTotal := math.Log(math.Max(t.NTotal, 1))
+	lnTotal := math.Log(atLeast(t.NTotal, 1))
 	for i := range t.R {
-		n := math.Max(t.N[i], minCount)
-		p := t.R[i] + c*math.Sqrt(lnTotal/n)
+		p := t.R[i] + c*math.Sqrt(lnTotal/atLeast(t.N[i], minCount))
 		if p > bestP {
 			best, bestP = i, p
 		}

@@ -16,11 +16,10 @@ import (
 // The scalar Agent API is unchanged: New builds a one-slot slab, so a
 // standalone agent is just the degenerate case and every decision an
 // agent makes is bit-identical whether it lives alone or in a
-// thousand-slot slab. What the slab adds is density: the decision server
-// packs its sessions' agents into per-shard slabs, so their tables sit in
-// contiguous memory instead of N scattered heap objects. StepBatch and
-// RewardBatch sweep many slots in one call; nothing in the server uses
-// them, and they remain for the benchmark's core-layer probe.
+// thousand-slot slab. Nothing outside this package places agents in a
+// shared slab any more — the decision server's sessions each own the
+// agent New or RestoreAgent builds — so multi-slot slabs, StepBatch and
+// RewardBatch remain only for the benchmark's core-layer probe.
 //
 // A Slab's backing arrays are fixed at construction and never
 // reallocated, so a caller may operate on disjoint slots from different

@@ -97,12 +97,7 @@ func (s *Server) runBatch(sc *batchScratch) {
 	sc.res = sc.res[:0]
 	for i := range sc.ops {
 		op := &sc.ops[i]
-		id := sc.body[op.idOff:op.idEnd]
-		sh := &st.shards[shardIndex(st, id)]
-		sh.mu.RLock()
-		se := sh.m[string(id)]
-		sh.mu.RUnlock()
-		sc.res = append(sc.res, runOp(se, op))
+		sc.res = append(sc.res, runOp(lookup(st, sc.body[op.idOff:op.idEnd]), op))
 	}
 }
 

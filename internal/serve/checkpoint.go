@@ -87,10 +87,9 @@ func checkpointSession(s *Session) (sessionCheckpoint, error) {
 }
 
 // restoreSession rebuilds a session from its checkpoint record and
-// registers it in st. The agent resumes its exact snapshot state — agent
-// sessions restore into their shard's slab arena, where freshly built
-// ones are placed. The drive-path fault wrapper (when the spec arms one)
-// is rebuilt fresh from the spec.
+// registers it in st. The agent resumes its exact snapshot state; the
+// drive-path fault wrapper (when the spec arms one) is rebuilt fresh
+// from the spec.
 func (st *Store) restoreSession(ck sessionCheckpoint) error {
 	if ck.ID == "" {
 		return &CheckpointError{Reason: "session record without an id"}
@@ -108,18 +107,7 @@ func (st *Store) restoreSession(ck sessionCheckpoint) error {
 		return &CheckpointError{Reason: fmt.Sprintf("session %s: %v", ck.ID, err)}
 	}
 
-	sh := st.shardFor(ck.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[ck.ID]; ok {
-		return &CheckpointError{Reason: fmt.Sprintf("duplicate session id %q", ck.ID)}
-	}
-
-	var (
-		agent core.Controller
-		slab  *core.Slab
-		slot  int
-	)
+	var agent core.Controller
 	switch ck.Kind {
 	case ckptAgent:
 		var snap core.AgentSnapshot
@@ -131,10 +119,7 @@ func (st *Store) restoreSession(ck sessionCheckpoint) error {
 		if snap.Policy.Kind != spec.Algo {
 			return &CheckpointError{Reason: fmt.Sprintf("session %s: agent policy %q does not serve spec algo %q", ck.ID, snap.Policy.Kind, spec.Algo)}
 		}
-		// The spec's arm count sizes the slab; a snapshot of another
-		// shape fails the slab's own arm check.
-		slab = lockedChunkFor(sh, spec.Arms)
-		agent, slot, err = core.RestoreAgentIn(slab, &snap)
+		agent, err = core.RestoreAgent(&snap)
 	case ckptMeta:
 		agent, err = core.RestoreSelectorJSON(ck.Agent)
 	case ckptCtx:
@@ -172,10 +157,11 @@ func (st *Store) restoreSession(ck sessionCheckpoint) error {
 		}
 	}
 
-	sh.m[ck.ID] = &Session{
+	if !st.insert(&Session{
 		id: ck.ID, spec: spec, agent: agent, drive: fault.Controller(agent, set, spec.Seed),
-		slab: slab, slot: slot,
 		seq: ck.Seq, open: ck.Open, arm: ck.Arm,
+	}) {
+		return &CheckpointError{Reason: fmt.Sprintf("duplicate session id %q", ck.ID)}
 	}
 	return nil
 }

@@ -104,13 +104,6 @@ func TestCheckpointReplayAcrossRestart(t *testing.T) {
 	if st2.Len() != len(ids)+1 {
 		t.Fatalf("restored %d sessions, want %d", st2.Len(), len(ids)+1)
 	}
-	// Agent records restore into their shard's slab.
-	for _, id := range st2.IDs() {
-		s, _ := st2.Get(id)
-		if _, isAgent := s.agent.(*core.Agent); isAgent && s.slab == nil {
-			t.Fatalf("agent session %s (%s) restored off the shard slab", id, s.spec.Algo)
-		}
-	}
 	got := driveSessions(t, st2, ids, 120)
 	for _, id := range ids {
 		w, g := want[id], got[id]
@@ -163,10 +156,8 @@ func TestCheckpointReplayAcrossRestart(t *testing.T) {
 }
 
 // TestRestoreManySessionsOneShard restores a 1200-session checkpoint
-// into a one-shard store: every session continues its arm stream, and
-// the restore grows the shard's arena by doubling, so it builds ten
-// chunks (4, 4, 8, ..., 512, 512 slots) rather than one per session or a
-// full-size chunk for the first.
+// into a one-shard store, whose index the restore rebuilds at every
+// doubling: every session is found and continues its arm stream.
 func TestRestoreManySessionsOneShard(t *testing.T) {
 	const sessions = 1200
 	st := NewStore(0)
@@ -189,9 +180,6 @@ func TestRestoreManySessionsOneShard(t *testing.T) {
 	}
 	if n := restored.Len(); n != sessions {
 		t.Fatalf("restored %d sessions, want %d", n, sessions)
-	}
-	if n := arenaChunks(restored, 8); n != 10 {
-		t.Fatalf("restore built %d chunks, want 10", n)
 	}
 	want := driveSessions(t, st, ids, 20)
 	got := driveSessions(t, restored, ids, 20)
@@ -396,9 +384,6 @@ func TestCheckpointFaultSpecRoundTrips(t *testing.T) {
 	if _, ok := s2.drive.(*core.Agent); ok {
 		t.Fatal("restored drive is the bare agent; fault wrapper not rebuilt")
 	}
-	if s2.slab == nil {
-		t.Fatal("faulted agent session must restore into the slab")
-	}
 	// The restored session still serves.
 	seq, _, err := s2.Step()
 	if err != nil {
@@ -453,8 +438,8 @@ func TestRestoreRefusesV1(t *testing.T) {
 	}
 }
 
-// TestRestoreSlabHostile: structurally broken agent records — the ones
-// that restore into a shard slab — are rejected with typed
+// TestRestoreSlabHostile: structurally broken plain-agent records (the
+// kind a version-2 file kept in slab groups) are rejected with typed
 // *CheckpointError values, never panics or silent corruption.
 func TestRestoreSlabHostile(t *testing.T) {
 	st := NewStore(1)

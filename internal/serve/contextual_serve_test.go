@@ -597,7 +597,7 @@ func TestRestoreMetaSpecSkew(t *testing.T) {
 }
 
 // TestRestoreSlabInStepSkew: an agent record, as Checkpoint writes it
-// for a slab-resident session, whose agent in_step disagrees with the
+// for a plain-agent session, whose agent in_step disagrees with the
 // session's open flag is a typed error, not a session that conflicts on
 // its first operation.
 func TestRestoreSlabInStepSkew(t *testing.T) {

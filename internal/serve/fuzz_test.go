@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -157,6 +158,14 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(`{"ops":[{"ctx":[0,0,0],"id":"c2","step":true}]}`))
 	f.Add([]byte(`{"ops":[{"id":"c3","seq":1,"reward":0.5,"ctx":[1,2,3]}]}`))
 	f.Add([]byte(`{"ops":[{"id":"c4","step":true,"ctx":[1,2]}]}`))
+	// The number fast path's edges: signed zeros, mantissas around 2^53,
+	// 22 and 23 fraction digits, 19 and 20 significant digits.
+	f.Add([]byte(`{"ops":[{"id":"z","seq":0,"reward":-0},{"id":"z","seq":1,"reward":-0.0}]}`))
+	f.Add([]byte(`{"ops":[{"id":"m","seq":1,"reward":900719925474099.1},{"id":"m","seq":2,"reward":90071992547409.93}]}`))
+	f.Add([]byte(`{"ops":[{"id":"m","seq":3,"reward":9007199254740992},{"id":"m","seq":4,"reward":0.9007199254740993}]}`))
+	f.Add([]byte(`{"ops":[{"id":"f","seq":1,"reward":0.0000000000000000000001},{"id":"f","seq":2,"reward":0.00000000000000000000001}]}`))
+	f.Add([]byte(`{"ops":[{"id":"d","seq":1,"reward":1234567890123456789},{"id":"d","seq":2,"reward":18446744073709551617}]}`))
+	f.Add([]byte(`{"ops":[{"id":"c5","step":true,"ctx":[-0,0.1234567890123456789012,1844674407370955161.7]}]}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		ops, err := parseBatch(body, nil)
@@ -190,7 +199,7 @@ func FuzzBatchDecode(f *testing.F) {
 				if !isReward {
 					t.Fatalf("op %d: parsed as reward, encoding/json sees %+v", i, ro)
 				}
-				if *ro.Seq != op.seq || *ro.Reward != op.reward {
+				if *ro.Seq != op.seq || math.Float64bits(*ro.Reward) != math.Float64bits(op.reward) {
 					t.Fatalf("op %d: (seq %d, reward %v) vs encoding/json (%d, %v)",
 						i, op.seq, op.reward, *ro.Seq, *ro.Reward)
 				}
@@ -203,7 +212,7 @@ func FuzzBatchDecode(f *testing.F) {
 						t.Fatalf("op %d: parsed ctx, encoding/json sees %+v", i, ro)
 					}
 					for j := 0; j < 3; j++ {
-						if (*ro.Ctx)[j] != op.ctx[j] {
+						if math.Float64bits((*ro.Ctx)[j]) != math.Float64bits(op.ctx[j]) {
 							t.Fatalf("op %d ctx[%d]: %v vs encoding/json %v",
 								i, j, op.ctx[j], (*ro.Ctx)[j])
 						}

@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite the golden checkpoint in testda
 // goldenStore.
 var goldenCheckpointPath = filepath.Join("testdata", "checkpoint_golden.json")
 
-// goldenSpecs is the session script behind the golden checkpoint: slab
+// goldenSpecs is the session script behind the golden checkpoint: plain
 // agents (ducb, ucb and eps at two arm counts), a meta agent, a fixed
 // arm, contextual agents, and a fault-armed mode-stateful agent.
 func goldenSpecs() []Spec {

@@ -10,8 +10,11 @@
 //     makes the step/reward protocol safe over a retrying transport.
 //     Per-session sequence numbers reject duplicate and out-of-order
 //     reward posts deterministically.
-//   - Store (store.go): a power-of-two-sharded session table with
-//     per-shard locks, so map access never serializes the request path.
+//   - Store (store.go): a power-of-two-sharded session table. Each
+//     shard's open-addressing index is read through an atomic pointer,
+//     so a lookup takes no lock and writes nothing shared; creates and
+//     deletes serialize on the shard's writer mutex. Each session owns
+//     its agent.
 //   - Checkpoint (checkpoint.go): versioned JSON persistence of every
 //     session, built on core's Snapshot/Restore codec. A restored server
 //     continues every fault-free session's exact arm sequence.

@@ -137,11 +137,7 @@ func (sp Spec) Validate() error {
 // *core.ContextualAgent, or core.FixedArm); the second is the controller
 // the request path drives, which wraps the agent with the spec's fault
 // set when one is armed.
-//
-// alloc places plain agents: the store passes its shard-slab allocator
-// so agent sessions land in contiguous struct-of-arrays storage. Meta
-// stacks and fixed arms are not slab material and are built in place.
-func buildController(sp Spec, alloc func(core.Config) (*core.Agent, error)) (agent, drive core.Controller, err error) {
+func buildController(sp Spec) (agent, drive core.Controller, err error) {
 	base, contextual := core.ContextualBase(sp.Algo)
 	switch {
 	case len(sp.MetaPairs) >= 2:
@@ -169,7 +165,7 @@ func buildController(sp Spec, alloc func(core.Config) (*core.Agent, error)) (age
 		if err != nil {
 			return nil, nil, err
 		}
-		a, err := alloc(cfg)
+		a, err := core.New(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -184,8 +180,8 @@ func buildController(sp Spec, alloc func(core.Config) (*core.Agent, error)) (age
 
 // Session is one live decision loop: an agent plus the sequencing state
 // that makes the step/reward protocol safe over a lossy, retrying
-// transport. All access goes through its mutex; the store's shard locks
-// only guard the id → session map.
+// transport. All access goes through its mutex; the session owns its
+// agent, so an operation on it touches no other session's memory.
 //
 // The sequence protocol: every completed decision increments Seq, and a
 // step response carries the Seq of the decision it opens. A reward post
@@ -200,16 +196,10 @@ type Session struct {
 	agent core.Controller // snapshotable: *core.Agent, *core.Selector, *core.ContextualAgent, or core.FixedArm
 	drive core.Controller // agent, behind the spec's fault wrapper when armed
 
-	// Slab placement. Plain-agent sessions live in their shard's
-	// struct-of-arrays arena at slab/slot, which Store.Delete frees. Meta,
-	// contextual and fixed-arm sessions have a nil slab.
-	slab *core.Slab
-	slot int
-
 	// deleted is set (under mu) by Store.Delete after the session left
-	// the id map and before its slab slot is freed. An operation that
-	// resolved the session earlier must re-check it under mu: past this
-	// flag, the agent pointer may alias the slot's next tenant.
+	// the store's index. An operation that resolved the session earlier
+	// re-checks it under mu and answers not-found, so a deleted session
+	// never serves another decision.
 	deleted bool
 
 	seq  uint64 // completed decisions

@@ -2,60 +2,62 @@ package serve
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"microbandit/internal/core"
 )
 
 // DefaultShards is the store's default shard count.
 const DefaultShards = 64
 
 // Store is the sharded session table. Session ids hash onto a
-// power-of-two number of shards, each guarded by its own RWMutex, so
-// concurrent request handling contends only within a shard — the map
-// lock is never the bottleneck; per-session work serializes on the
-// session's own mutex.
-//
-// Each shard also owns the slab arenas its plain-agent sessions live in:
-// contiguous struct-of-arrays chunks, one arena per arm count, allocated
-// and freed under the shard's write lock.
+// power-of-two number of shards, each holding one open-addressing index
+// of its sessions. Lookups read the index through an atomic pointer:
+// they take no lock, write nothing and allocate nothing, so concurrent
+// requests on different sessions write no memory in common. Creates,
+// deletes and restores serialize on the shard's writer mutex;
+// per-session work serializes on the session's own mutex.
 type Store struct {
 	shards []shard
-	mask   uint32
+	mask   uint32 // shard index = id hash & mask
+	shift  uint8  // log2(len(shards)): the hash bits above it pick index slots
 	nextID atomic.Uint64
 }
 
+// shard is one slice of the session table. Readers only load idx;
+// everything else belongs to writers holding mu.
 type shard struct {
-	mu     sync.RWMutex
-	m      map[string]*Session
-	arenas map[int]*slabArena // arm count → arena
+	idx  atomic.Pointer[index]
+	mu   sync.Mutex
+	live int // sessions in idx
+	used int // non-nil slots of idx: sessions plus tombstones
 }
 
-// slabArena is one shard's slab storage for a single arm count: a list
-// of fixed-capacity chunks, grown one chunk at a time as sessions
-// accumulate, each new chunk sized by chunkSlots from the slots the
-// arena already holds, so the arena doubles from a few slots up to
-// full-size chunks. Chunks are never reclaimed — freed slots recycle
-// within their chunk — so agent pointers and table views stay valid for
-// a session's whole life.
-type slabArena struct {
-	chunks []*core.Slab
+// index is a linear-probing hash table of sessions. A slot goes from nil
+// to a session, from a session to tombstone on delete, and from
+// tombstone to a session on a later insert; it never returns to nil, so
+// a reader probing from a session's home slot reaches it before any nil.
+// When sessions plus tombstones would pass three quarters of the slots,
+// the writer builds a fresh index at most half full and publishes it;
+// readers still holding the old one finish on a frozen, consistent copy.
+// Rebuilds happen once per doubling (or per tombstone sweep), so create
+// and delete stay O(1) amortized.
+type index struct {
+	slots []atomic.Pointer[Session]
+	mask  uint32 // len(slots) - 1
 }
 
-// chunkSlots sizes an arena's next chunk from the slots the arena
-// already holds. The first chunk has 4 slots; each later one
-// matches the arena's capacity so far, so the arena doubles, until
-// chunks reach the full size: ~8192 table floats, clamped to [16, 512]
-// slots. Storage is thus paid per session — 128 DUCB-8 sessions over 64
-// shards hold ~1.5 KB each — while a shard with thousands of sessions
-// still amortizes its per-chunk bookkeeping over full-size chunks.
-func chunkSlots(arms, held int) int {
-	const firstSlots, targetFloats = 4, 8192
-	full := min(max(targetFloats/arms, 16), 512)
-	return min(max(held, firstSlots), full)
-}
+// tombstone marks a deleted session's slot. Probes step over it.
+var tombstone = new(Session)
+
+// emptyIndex is every shard's index before its first session: one nil
+// slot, so lookups miss at once. A writer always rebuilds it before
+// inserting, so it is never written.
+var emptyIndex = &index{slots: make([]atomic.Pointer[Session], 1)}
+
+// minIndexSlots is the size of a shard's first real index.
+const minIndexSlots = 8
 
 // NewStore returns a store with at least the requested number of shards,
 // rounded up to a power of two. n <= 0 selects DefaultShards.
@@ -67,10 +69,13 @@ func NewStore(n int) *Store {
 	for size < n {
 		size <<= 1
 	}
-	st := &Store{shards: make([]shard, size), mask: uint32(size - 1)}
+	st := &Store{
+		shards: make([]shard, size),
+		mask:   uint32(size - 1),
+		shift:  uint8(bits.TrailingZeros(uint(size))),
+	}
 	for i := range st.shards {
-		st.shards[i].m = make(map[string]*Session)
-		st.shards[i].arenas = make(map[int]*slabArena)
+		st.shards[i].idx.Store(emptyIndex)
 	}
 	return st
 }
@@ -78,10 +83,11 @@ func NewStore(n int) *Store {
 // Shards returns the shard count.
 func (st *Store) Shards() int { return len(st.shards) }
 
-// shardIndex hashes an id onto its shard index (FNV-1a). It is generic
-// over string and []byte so the batch parser, which works on slices of
-// the request body, routes ids without allocating strings.
-func shardIndex[T string | []byte](st *Store, id T) uint32 {
+// idHash is the FNV-1a hash of a session id. Its low bits pick the
+// shard and the bits above them the home slot in the shard's index. It
+// is generic over string and []byte so the batch path, which works on
+// slices of the request body, looks ids up without allocating strings.
+func idHash[T string | []byte](id T) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -91,59 +97,105 @@ func shardIndex[T string | []byte](st *Store, id T) uint32 {
 		h ^= uint32(id[i])
 		h *= prime32
 	}
-	return h & st.mask
+	return h
 }
 
-// shardFor hashes id onto its shard.
-func (st *Store) shardFor(id string) *shard {
-	return &st.shards[shardIndex(st, id)]
+// lookup returns the live session with the given id, or nil. It is the
+// store's one read path: Get and the batch plane both use it.
+func lookup[T string | []byte](st *Store, id T) *Session {
+	h := idHash(id)
+	ix := st.shards[h&st.mask].idx.Load()
+	for i := h >> st.shift; ; i++ {
+		s := ix.slots[i&ix.mask].Load()
+		if s == nil {
+			return nil
+		}
+		if s != tombstone && s.id == string(id) {
+			return s
+		}
+	}
 }
 
-// lockedChunkFor returns a chunk with at least one free slot for the
-// given arm count, growing the arena by one chunkSlots-sized chunk when
-// every chunk is full. Session create and checkpoint restore both place
-// agents through it. The caller must hold sh.mu for writing.
-func lockedChunkFor(sh *shard, arms int) *core.Slab {
-	ar := sh.arenas[arms]
-	if ar == nil {
-		ar = &slabArena{}
-		sh.arenas[arms] = ar
+// insert registers s under its id, reporting false (and registering
+// nothing) when the id is taken.
+func (st *Store) insert(s *Session) bool {
+	h := idHash(s.id)
+	sh := &st.shards[h&st.mask]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ix := sh.idx.Load()
+	if (sh.used+1)*4 > len(ix.slots)*3 {
+		ix = sh.rebuild(st.shift)
 	}
-	held := 0
-	for _, c := range ar.chunks {
-		if c.Live() < c.Cap() {
-			return c
+	free := -1 // first tombstone on the probe path
+	i := h >> st.shift
+	for ; ; i++ {
+		p := ix.slots[i&ix.mask].Load()
+		if p == nil {
+			break
 		}
-		held += c.Cap()
+		if p == tombstone {
+			if free < 0 {
+				free = int(i & ix.mask)
+			}
+		} else if p.id == s.id {
+			return false
+		}
 	}
-	c := core.MustNewSlab(arms, chunkSlots(arms, held))
-	ar.chunks = append(ar.chunks, c)
-	return c
+	if free < 0 {
+		free = int(i & ix.mask)
+		sh.used++
+	}
+	ix.slots[free].Store(s)
+	sh.live++
+	return true
 }
 
-// lockedBuildSession constructs a session in sh, placing plain agents in
-// the shard's slab arena. The caller must hold sh.mu for writing and
-// registers the returned session itself.
-func lockedBuildSession(sh *shard, id string, spec Spec) (*Session, error) {
-	var slab *core.Slab
-	var slot int
-	alloc := func(cfg core.Config) (*core.Agent, error) {
-		c := lockedChunkFor(sh, cfg.Arms)
-		a, sl, err := c.Alloc(cfg)
-		if err != nil {
-			return nil, err
-		}
-		slab, slot = c, sl
-		return a, nil
+// rebuild publishes a fresh index for sh's live sessions, sized so it is
+// at most half full after the insert that triggered it, and returns it.
+// The caller holds sh.mu.
+func (sh *shard) rebuild(shift uint8) *index {
+	n := minIndexSlots
+	for n < 2*(sh.live+1) {
+		n <<= 1
 	}
-	agent, drive, err := buildController(spec, alloc)
-	if err != nil {
-		if slab != nil {
-			slab.Free(slot)
+	ix := &index{slots: make([]atomic.Pointer[Session], n), mask: uint32(n - 1)}
+	old := sh.idx.Load()
+	for j := range old.slots {
+		s := old.slots[j].Load()
+		if s == nil || s == tombstone {
+			continue
 		}
-		return nil, err
+		i := idHash(s.id) >> shift
+		for ix.slots[i&ix.mask].Load() != nil {
+			i++
+		}
+		ix.slots[i&ix.mask].Store(s)
 	}
-	return &Session{id: id, spec: spec, agent: agent, drive: drive, slab: slab, slot: slot}, nil
+	sh.used = sh.live
+	sh.idx.Store(ix)
+	return ix
+}
+
+// remove unregisters and returns the session with the given id, or nil.
+func (st *Store) remove(id string) *Session {
+	h := idHash(id)
+	sh := &st.shards[h&st.mask]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ix := sh.idx.Load()
+	for i := h >> st.shift; ; i++ {
+		slot := &ix.slots[i&ix.mask]
+		s := slot.Load()
+		if s == nil {
+			return nil
+		}
+		if s != tombstone && s.id == id {
+			slot.Store(tombstone)
+			sh.live--
+			return s
+		}
+	}
 }
 
 // Create builds a session from spec under a fresh id and registers it.
@@ -155,66 +207,38 @@ func (st *Store) Create(spec Spec) (*Session, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	agent, drive, err := buildController(spec)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{spec: spec, agent: agent, drive: drive}
 	for {
-		id := fmt.Sprintf("s-%08x", st.nextID.Add(1))
-		sh := st.shardFor(id)
-		sh.mu.Lock()
-		if _, taken := sh.m[id]; taken {
-			sh.mu.Unlock()
-			continue
+		s.id = fmt.Sprintf("s-%08x", st.nextID.Add(1))
+		if st.insert(s) {
+			return s, nil
 		}
-		s, err := lockedBuildSession(sh, id, spec)
-		if err != nil {
-			sh.mu.Unlock()
-			return nil, err
-		}
-		sh.m[id] = s
-		sh.mu.Unlock()
-		return s, nil
 	}
 }
 
 // Get returns the session with the given id.
 func (st *Store) Get(id string) (*Session, bool) {
-	sh := st.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.m[id]
-	sh.mu.RUnlock()
-	return s, ok
+	s := lookup(st, id)
+	return s, s != nil
 }
 
 // Delete removes the session with the given id, reporting whether it
-// existed. Removal is a three-beat sequence because a concurrent request
-// may have resolved the session pointer before the map delete:
-//
-//  1. remove the id from the shard map (new lookups miss);
-//  2. set the session's deleted flag under its own lock (in-flight
-//     operations that already hold the pointer re-check the flag under
-//     s.mu and answer not-found instead of touching the agent);
-//  3. free the slab slot under the shard lock (safe now: any operation
-//     acquiring s.mu after step 2 bails before dereferencing the agent,
-//     and the slot may be handed to the shard's next session).
+// existed. A concurrent request may have resolved the session before it
+// left the index, so Delete also sets the session's deleted flag under
+// its lock: operations that already hold the pointer re-check the flag
+// and answer not-found instead of touching the agent.
 func (st *Store) Delete(id string) bool {
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.m[id]
-	if !ok {
-		sh.mu.Unlock()
+	s := st.remove(id)
+	if s == nil {
 		return false
 	}
-	delete(sh.m, id)
-	sh.mu.Unlock()
-
 	s.mu.Lock()
 	s.deleted = true
-	slab, slot := s.slab, s.slot
 	s.mu.Unlock()
-
-	if slab != nil {
-		sh.mu.Lock()
-		slab.Free(slot)
-		sh.mu.Unlock()
-	}
 	return true
 }
 
@@ -223,9 +247,9 @@ func (st *Store) Len() int {
 	n := 0
 	for i := range st.shards {
 		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
+		sh.mu.Lock()
+		n += sh.live
+		sh.mu.Unlock()
 	}
 	return n
 }
@@ -236,11 +260,14 @@ func (st *Store) IDs() []string {
 	var ids []string
 	for i := range st.shards {
 		sh := &st.shards[i]
-		sh.mu.RLock()
-		for id := range sh.m {
-			ids = append(ids, id)
+		sh.mu.Lock()
+		ix := sh.idx.Load()
+		for j := range ix.slots {
+			if s := ix.slots[j].Load(); s != nil && s != tombstone {
+				ids = append(ids, s.id)
+			}
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	sort.Strings(ids)
 	return ids
