@@ -7,7 +7,8 @@
 // Discounted UCB the hardware agent implements), the Algorithm 1 template
 // with its initial round-robin phase, and the two microarchitecture
 // modifications of §4.3 (reward normalization and probabilistic
-// round-robin restarts).
+// round-robin restarts). An Agent owns its two per-arm tables (rTable
+// and nTable) and a few scalars.
 //
 // A downstream user drives the agent with the bandit-step protocol:
 //
@@ -61,13 +62,6 @@ type (
 	// among low-level controllers — the §9 extension over DUCB agents
 	// with different hyperparameters, or heterogeneous agents.
 	Selector = core.Selector
-	// Coordinator serializes §4.3 restarts across sibling agents (the
-	// multi-bandit exploration orchestration of §8).
-	Coordinator = core.Coordinator
-	// Slab is the struct-of-arrays arena holding many agents' learned
-	// state contiguously. Only the benchmark's core-layer probe builds
-	// multi-slot slabs; a standalone agent is a one-slot slab.
-	Slab = core.Slab
 )
 
 // Constructors, re-exported.
@@ -76,10 +70,6 @@ var (
 	New = core.New
 	// MustNew is New that panics on error.
 	MustNew = core.MustNew
-	// NewSlab builds a fixed-capacity struct-of-arrays agent arena.
-	NewSlab = core.NewSlab
-	// MustNewSlab is NewSlab that panics on error.
-	MustNewSlab = core.MustNewSlab
 	// NewEpsilonGreedy returns an ε-Greedy policy.
 	NewEpsilonGreedy = core.NewEpsilonGreedy
 	// NewUCB returns a UCB policy with exploration constant c.
@@ -96,8 +86,6 @@ var (
 	NewSelector = core.NewSelector
 	// NewDUCBSweepMeta builds the §9 hyperparameter-sweep Selector.
 	NewDUCBSweepMeta = core.NewDUCBSweepMeta
-	// NewCoordinator builds an exploration coordinator.
-	NewCoordinator = core.NewCoordinator
 )
 
 // Paper hyperparameters (Table 6), re-exported for convenience.

@@ -32,9 +32,9 @@ func ContextualBase(name string) (string, bool) {
 
 // AlgoConfig maps an agent algorithm name to the Config ParseAlgo wraps
 // it in, using the paper's prefetching hyperparameters (Table 6:
-// c = PrefetchC, gamma = PrefetchGamma). It exists so callers that place
-// agents themselves — the serve layer allocates into per-shard slabs —
-// share one registry with ParseAlgo. Names that denote a non-agent
+// c = PrefetchC, gamma = PrefetchGamma). It exists so callers that adjust
+// the config before building the agent (a restart probability, a slab
+// slot) share one registry with ParseAlgo. Names that denote a non-agent
 // controller ("static:N") and unknown names return an error.
 func AlgoConfig(name string, arms int, seed uint64, recordTrace bool) (Config, error) {
 	return AlgoConfigAt(name, arms, seed, PrefetchC, PrefetchGamma, recordTrace)

@@ -19,7 +19,9 @@
 //
 // The agent is deliberately tiny: per arm it stores one running reward
 // (rTable) and one selection count (nTable), 8 bytes per arm in hardware.
-// Everything is deterministic given Config.Seed.
+// An Agent owns both tables (one array holds the two rows) and a few
+// scalars: its RNG, its step counters and the position of a pending
+// round-robin sweep. Everything is deterministic given Config.Seed.
 //
 // Usage follows the bandit-step protocol of the paper: call Step to obtain
 // the arm to apply for the next bandit step, apply it to the controlled
@@ -44,11 +46,6 @@ type Tables struct {
 	R      []float64 // average observed reward per arm (rTable)
 	N      []float64 // (possibly discounted) selection count per arm (nTable)
 	NTotal float64   // total selections across all arms
-}
-
-// newTables allocates zeroed tables for the given number of arms.
-func newTables(arms int) *Tables {
-	return &Tables{R: make([]float64, arms), N: make([]float64, arms)}
 }
 
 // Arms returns the number of arms.
@@ -137,18 +134,23 @@ func (c Config) Validate() error {
 }
 
 // Agent is the Micro-Armed Bandit: Algorithm 1 of the paper wrapped around
-// a Policy, with the two microarchitecture modifications of §4.3.
+// a Policy, with the two microarchitecture modifications of §4.3. It holds
+// its tables and RNG by value.
 //
 // The zero value is not usable; construct with New.
 type Agent struct {
 	cfg    Config
-	tables *Tables    // view into the owning slab's slot (never nil after New)
-	rng    xrand.Rand // by value, so a slab's agents pack contiguously
+	tables Tables
+	rng    xrand.Rand
 
-	steps      int   // completed bandit steps
-	currentArm int   // arm chosen by the last Step call
-	inStep     bool  // Step called, Reward pending
-	forced     []int // pending forced arms (initial RR phase or RR restart)
+	steps      int  // completed bandit steps
+	currentArm int  // arm chosen by the last Step call
+	inStep     bool // Step called, Reward pending
+	// sweep is the next arm of the pending round-robin sweep (the
+	// initial phase or a §4.3 restart); Arms when no sweep is pending.
+	// A sweep always runs arms 0..Arms-1 in order, so the pending forced
+	// arms are exactly sweep..Arms-1.
+	sweep int
 
 	rAvg       float64 // round-robin average reward used for normalization
 	normalized bool    // rAvg has been computed
@@ -156,31 +158,31 @@ type Agent struct {
 	trace []int // arm per step, if RecordTrace
 
 	restarts int // completed RR-restart triggers
-
-	// restartPermission, when set (by a Coordinator), gates §4.3
-	// restarts: a restart that comes up while permission is denied is
-	// skipped for that step.
-	restartPermission func() bool
 }
 
 // New constructs an Agent. It returns an error for invalid configs.
-//
-// A standalone agent is the one-slot case of a Slab: its tables live in
-// a private slab, so scalar and slab-resident agents run exactly the
-// same code and make bit-identical decisions.
 func New(cfg Config) (*Agent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := NewSlab(cfg.Arms, 1)
-	if err != nil {
-		return nil, err
-	}
-	a, _, err := s.Alloc(cfg)
-	if err != nil {
-		return nil, err
-	}
+	a := new(Agent)
+	a.init(cfg)
 	return a, nil
+}
+
+// init builds a fresh agent for a validated config in place: zeroed
+// tables, a seeded RNG and the initial round-robin sweep pending. New and
+// Slab.Alloc both construct through it. One allocation holds both table
+// rows; the full slice expression pins R's cap so an append through it
+// could never bleed into N.
+func (a *Agent) init(cfg Config) {
+	arms := cfg.Arms
+	rn := make([]float64, 2*arms)
+	*a = Agent{
+		cfg:    cfg,
+		tables: Tables{R: rn[:arms:arms], N: rn[arms:]},
+		rng:    *xrand.New(cfg.Seed),
+	}
 }
 
 // MustNew is New that panics on error, for tests and examples.
@@ -190,13 +192,6 @@ func MustNew(cfg Config) *Agent {
 		panic(err)
 	}
 	return a
-}
-
-// queueRoundRobin schedules one forced selection of every arm, in order.
-func (a *Agent) queueRoundRobin() {
-	for i := 0; i < a.cfg.Arms; i++ {
-		a.forced = append(a.forced, i)
-	}
 }
 
 // Arms returns the number of arms.
@@ -217,13 +212,6 @@ func (a *Agent) Restarts() int { return a.restarts }
 // snapshot taken between Step and Reward resumes with the step open.
 func (a *Agent) StepOpen() bool { return a.inStep }
 
-// RestartActive reports whether the agent is mid-way through a §4.3
-// restart sweep (forced arms pending after the initial round-robin
-// phase). Coordinators use it to serialize exploration across agents.
-func (a *Agent) RestartActive() bool {
-	return a.steps >= a.cfg.Arms && len(a.forced) > 0
-}
-
 // Step selects and returns the arm to apply for the next bandit step. It
 // panics if called twice without an intervening Reward — that protocol
 // violation is a programming error, not a runtime condition.
@@ -236,25 +224,22 @@ func (a *Agent) Step() int {
 	initialRR := a.steps < a.cfg.Arms
 
 	// §4.3 modification 2: probabilistic round-robin restart during the
-	// main loop, preserving learned state. A Coordinator (if installed)
-	// serializes restarts across sibling agents so concurrent sweeps do
-	// not poison each other's rewards.
-	if !initialRR && len(a.forced) == 0 && a.rng.Bool(a.cfg.RRRestartProb) {
-		if a.restartPermission == nil || a.restartPermission() {
-			a.queueRoundRobin()
-			a.restarts++
-			if a.cfg.Obs != nil {
-				a.cfg.Obs.Record(obs.Event{Kind: obs.KindRestart, Step: int64(a.steps)})
-			}
+	// main loop, preserving learned state.
+	forced := a.sweep < a.cfg.Arms
+	if !initialRR && !forced && a.rng.Bool(a.cfg.RRRestartProb) {
+		a.sweep = 0
+		forced = true
+		a.restarts++
+		if a.cfg.Obs != nil {
+			a.cfg.Obs.Record(obs.Event{Kind: obs.KindRestart, Step: int64(a.steps)})
 		}
 	}
 
 	var arm int
-	forced := len(a.forced) > 0
 	switch {
 	case forced:
-		arm = a.forced[0]
-		a.forced = a.forced[1:]
+		arm = a.sweep
+		a.sweep++
 		if !initialRR {
 			// Restart sweeps update counts through the policy, so
 			// DUCB keeps discounting during the sweep.
@@ -323,13 +308,13 @@ func (a *Agent) Reward(rStep float64) {
 }
 
 // policyNextArm dispatches Policy.NextArm with a concrete-type fast
-// path for the built-in policies, so slab sweeps inline the selection
-// arithmetic instead of paying an interface call per slot. Each case
+// path for the built-in policies, so the hot path inlines the selection
+// arithmetic instead of paying an interface call per step. Each case
 // calls the same free function the policy's own method delegates to —
 // devirtualizing cannot change a single bit of the decision stream.
 // User-defined policies take the default interface branch.
 func (a *Agent) policyNextArm() int {
-	t := a.tables
+	t := &a.tables
 	switch p := a.cfg.Policy.(type) {
 	case *DUCB:
 		return argmaxPotential(t, p.C)
@@ -344,7 +329,7 @@ func (a *Agent) policyNextArm() int {
 
 // policyUpdateSelections is the devirtualized Policy.UpdateSelections.
 func (a *Agent) policyUpdateSelections(arm int) {
-	t := a.tables
+	t := &a.tables
 	switch p := a.cfg.Policy.(type) {
 	case *DUCB:
 		discountSelect(t, p.Gamma, arm)
@@ -359,9 +344,9 @@ func (a *Agent) policyUpdateSelections(arm int) {
 func (a *Agent) policyUpdateReward(arm int, rStep float64) {
 	switch a.cfg.Policy.(type) {
 	case *DUCB, *UCB, *EpsilonGreedy:
-		foldReward(a.tables, arm, rStep)
+		foldReward(&a.tables, arm, rStep)
 	default:
-		a.cfg.Policy.UpdateReward(a.tables, arm, rStep)
+		a.cfg.Policy.UpdateReward(&a.tables, arm, rStep)
 	}
 }
 
@@ -435,7 +420,7 @@ func (a *Agent) SetRecorder(rec obs.Recorder, every int) {
 
 // Reset returns the agent to its initial state (zeroed tables, re-seeded
 // RNG, initial round-robin phase pending). The tables are cleared in
-// place — a slab-resident agent keeps its slot.
+// place.
 func (a *Agent) Reset() {
 	clear(a.tables.R)
 	clear(a.tables.N)
@@ -444,13 +429,12 @@ func (a *Agent) Reset() {
 	a.steps = 0
 	a.currentArm = 0
 	a.inStep = false
-	a.forced = a.forced[:0]
+	a.sweep = 0
 	a.rAvg = 0
 	a.normalized = false
 	a.trace = nil
 	a.restarts = 0
 	a.cfg.Policy.Reset()
-	a.queueRoundRobin()
 }
 
 // Paper hyperparameters (Table 6). These are the tuned values used by the

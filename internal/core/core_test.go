@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"microbandit/internal/xrand"
@@ -427,64 +428,64 @@ func close(a, b float64) bool {
 	return d < 1e-9
 }
 
-// TestCoordinatorSerializesRestarts: with a coordinator installed, two
-// agents with aggressive restart probabilities never sweep simultaneously.
-func TestCoordinatorSerializesRestarts(t *testing.T) {
-	mk := func(seed uint64) *Agent {
-		return MustNew(Config{
-			Arms:          4,
-			Policy:        NewDUCB(0.05, 0.99),
-			RRRestartProb: 0.3,
-			Seed:          seed,
-		})
+// policyConfigs is the algorithm matrix the equivalence tests sweep: every
+// built-in policy the devirtualized fast path special-cases, the §4.3
+// restart variant, whose RNG consumption is the easiest thing to break,
+// and Single, which takes the fast path's interface fallback.
+func policyConfigs() map[string]Config {
+	mk := func(p Policy, rrProb float64) Config {
+		return Config{Arms: 6, Policy: p, Normalize: true, RRRestartProb: rrProb, Seed: 99}
 	}
-	a, b := mk(1), mk(2)
-	coord := NewCoordinator()
-	coord.Add(a)
-	coord.Add(b)
-	env := xrand.New(9)
-	for s := 0; s < 2000; s++ {
-		a.Step()
-		b.Step()
-		if a.RestartActive() && b.RestartActive() {
-			t.Fatalf("step %d: both agents mid-sweep", s)
-		}
-		a.Reward(env.Float64())
-		b.Reward(env.Float64())
-	}
-	if a.Restarts() == 0 || b.Restarts() == 0 {
-		t.Errorf("restarts = %d/%d; coordination must delay, not starve",
-			a.Restarts(), b.Restarts())
-	}
-	if !coord.Busy() && (a.RestartActive() || b.RestartActive()) {
-		t.Error("Busy() inconsistent with RestartActive")
+	return map[string]Config{
+		"eps":     mk(NewEpsilonGreedy(0.1), 0),
+		"ucb":     mk(NewUCB(PrefetchC), 0),
+		"ducb":    mk(NewDUCB(PrefetchC, PrefetchGamma), 0),
+		"ducb+rr": mk(NewDUCB(PrefetchC, PrefetchGamma), 0.05),
+		"single":  mk(NewSingle(), 0),
 	}
 }
 
-// Without coordination the same configuration does produce overlapping
-// sweeps, so the test above is meaningful.
-func TestUncoordinatedRestartsOverlap(t *testing.T) {
-	mk := func(seed uint64) *Agent {
-		return MustNew(Config{
-			Arms:          4,
-			Policy:        NewDUCB(0.05, 0.99),
-			RRRestartProb: 0.3,
-			Seed:          seed,
+// opaquePolicy hides a built-in policy's concrete type from the Agent's
+// devirtualized type switch, forcing the generic interface path.
+type opaquePolicy struct{ Policy }
+
+// TestDevirtualizedDispatchEquivalence pins the fast path against the
+// interface path: the same policy driven both ways must produce
+// bit-identical decision streams and tables.
+func TestDevirtualizedDispatchEquivalence(t *testing.T) {
+	for name, cfg := range policyConfigs() {
+		t.Run(name, func(t *testing.T) {
+			fast := MustNew(cfg)
+			opaque := cfg
+			opaque.Policy = &opaquePolicy{cfg.Policy}
+			slow := MustNew(opaque)
+
+			for i := 0; i < 300; i++ {
+				got, want := fast.Step(), slow.Step()
+				if got != want {
+					t.Fatalf("step %d: fast arm %d, interface arm %d", i, got, want)
+				}
+				r := stepReward(got, i)
+				fast.Reward(r)
+				slow.Reward(r)
+			}
+			if !reflect.DeepEqual(fast.Rewards(), slow.Rewards()) ||
+				!reflect.DeepEqual(fast.Counts(), slow.Counts()) {
+				t.Fatal("fast-path and interface-path tables diverged")
+			}
+			if fast.Restarts() != slow.Restarts() {
+				t.Fatalf("restarts: fast %d, interface %d", fast.Restarts(), slow.Restarts())
+			}
 		})
 	}
-	a, b := mk(1), mk(2)
-	env := xrand.New(9)
-	overlap := false
-	for s := 0; s < 2000; s++ {
-		a.Step()
-		b.Step()
-		if a.RestartActive() && b.RestartActive() {
-			overlap = true
-		}
-		a.Reward(env.Float64())
-		b.Reward(env.Float64())
-	}
-	if !overlap {
-		t.Skip("no natural overlap at these probabilities; serialization test is vacuous")
+}
+
+// TestNewAllocs pins what one agent costs to build: the Agent record,
+// the one array holding both table rows, and the seeded RNG.
+func TestNewAllocs(t *testing.T) {
+	cfg := Config{Arms: PrefetchArms, Policy: NewDUCB(PrefetchC, PrefetchGamma), Normalize: true, Seed: 1}
+	allocs := testing.AllocsPerRun(100, func() { MustNew(cfg) })
+	if allocs > 3 {
+		t.Fatalf("New of an %d-arm DUCB agent makes %v allocations, want <= 3", cfg.Arms, allocs)
 	}
 }

@@ -8,6 +8,11 @@ import (
 	"microbandit/internal/xrand"
 )
 
+// newTables allocates zeroed tables for the given number of arms.
+func newTables(arms int) *Tables {
+	return &Tables{R: make([]float64, arms), N: make([]float64, arms)}
+}
+
 func seededTables(r []float64) *Tables {
 	t := newTables(len(r))
 	copy(t.R, r)

@@ -1,75 +1,9 @@
 package core
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 )
-
-// slabPolicies is the algorithm matrix the equivalence tests sweep: every
-// built-in policy the devirtualized fast path special-cases, the §4.3
-// restart variant, whose RNG consumption is the easiest thing to break,
-// and Single, which takes the fast path's interface fallback.
-func slabPolicies() map[string]Config {
-	mk := func(p Policy, rrProb float64) Config {
-		return Config{Arms: 6, Policy: p, Normalize: true, RRRestartProb: rrProb, Seed: 99}
-	}
-	return map[string]Config{
-		"eps":     mk(NewEpsilonGreedy(0.1), 0),
-		"ucb":     mk(NewUCB(PrefetchC), 0),
-		"ducb":    mk(NewDUCB(PrefetchC, PrefetchGamma), 0),
-		"ducb+rr": mk(NewDUCB(PrefetchC, PrefetchGamma), 0.05),
-		"single":  mk(NewSingle(), 0),
-	}
-}
-
-func TestSlabAllocFree(t *testing.T) {
-	sl := MustNewSlab(4, 3)
-	if sl.Arms() != 4 || sl.Cap() != 3 || sl.Live() != 0 {
-		t.Fatalf("fresh slab: arms=%d cap=%d live=%d", sl.Arms(), sl.Cap(), sl.Live())
-	}
-	cfg := Config{Arms: 4, Policy: NewDUCB(PrefetchC, PrefetchGamma), Seed: 1}
-	slots := map[int]bool{}
-	for i := 0; i < 3; i++ {
-		a, slot, err := sl.Alloc(cfg)
-		if err != nil {
-			t.Fatalf("Alloc %d: %v", i, err)
-		}
-		if a != sl.Agent(slot) {
-			t.Fatalf("Alloc %d: agent pointer does not match Agent(%d)", i, slot)
-		}
-		if slots[slot] {
-			t.Fatalf("Alloc %d: slot %d handed out twice", i, slot)
-		}
-		slots[slot] = true
-	}
-	if sl.Live() != 3 {
-		t.Fatalf("live = %d, want 3", sl.Live())
-	}
-	if _, _, err := sl.Alloc(cfg); !errors.Is(err, ErrSlabFull) {
-		t.Fatalf("Alloc on full slab: err = %v, want ErrSlabFull", err)
-	}
-
-	// Dirty a slot, free it, and check its next tenant starts clean.
-	a1 := sl.Agent(1)
-	drive(a1, 0, 20)
-	sl.Free(1)
-	if sl.Agent(1) != nil {
-		t.Fatalf("Agent(1) non-nil after Free")
-	}
-	a, slot, err := sl.Alloc(cfg)
-	if err != nil || slot != 1 {
-		t.Fatalf("Alloc after Free: slot=%d err=%v, want slot 1", slot, err)
-	}
-	if a.StepsTaken() != 0 || !a.InInitialRR() {
-		t.Fatalf("reused slot not reset: steps=%d", a.StepsTaken())
-	}
-	for i, r := range a.Rewards() {
-		if r != 0 {
-			t.Fatalf("reused slot rTable[%d] = %v, want 0", i, r)
-		}
-	}
-}
 
 func TestSlabAllocRejectsMismatchedArms(t *testing.T) {
 	sl := MustNewSlab(4, 1)
@@ -79,23 +13,26 @@ func TestSlabAllocRejectsMismatchedArms(t *testing.T) {
 	}
 }
 
-func TestSlabFreePanicsOnUnallocatedSlot(t *testing.T) {
-	sl := MustNewSlab(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Free of an unallocated slot did not panic")
+func TestSlabAllocRejectsFull(t *testing.T) {
+	sl := MustNewSlab(4, 2)
+	cfg := Config{Arms: 4, Policy: NewUCB(1), Seed: 1}
+	for want := 0; want < 2; want++ {
+		if _, slot, err := sl.Alloc(cfg); err != nil || slot != want {
+			t.Fatalf("Alloc %d: slot %d, err %v", want, slot, err)
 		}
-	}()
-	sl.Free(0)
+	}
+	if _, _, err := sl.Alloc(cfg); err == nil {
+		t.Fatal("Alloc on a full slab succeeded")
+	}
 }
 
-// TestSlabScalarEquivalence pins the tentpole contract: an agent living
+// TestSlabScalarEquivalence pins the slab's contract: an agent living
 // in a crowded slab makes bit-identical decisions to a standalone one,
 // for every algorithm. The slab agent is deliberately surrounded by
 // neighbours running different seeds so cross-slot state bleed would be
 // caught.
 func TestSlabScalarEquivalence(t *testing.T) {
-	for name, cfg := range slabPolicies() {
+	for name, cfg := range policyConfigs() {
 		t.Run(name, func(t *testing.T) {
 			solo := MustNew(cfg)
 
@@ -133,44 +70,6 @@ func TestSlabScalarEquivalence(t *testing.T) {
 	}
 }
 
-// opaquePolicy hides a built-in policy's concrete type from the Agent's
-// devirtualized type switch, forcing the generic interface path the
-// pre-slab implementation always took.
-type opaquePolicy struct{ Policy }
-
-// TestDevirtualizedDispatchEquivalence pins the fast path against the
-// interface path: the same policy driven both ways must produce
-// bit-identical decision streams and tables. Together with
-// TestSlabScalarEquivalence this is the "no worse than pre-refactor"
-// guarantee — the interface path is the pre-refactor code.
-func TestDevirtualizedDispatchEquivalence(t *testing.T) {
-	for name, cfg := range slabPolicies() {
-		t.Run(name, func(t *testing.T) {
-			fast := MustNew(cfg)
-			opaque := cfg
-			opaque.Policy = &opaquePolicy{cfg.Policy}
-			slow := MustNew(opaque)
-
-			for i := 0; i < 300; i++ {
-				got, want := fast.Step(), slow.Step()
-				if got != want {
-					t.Fatalf("step %d: fast arm %d, interface arm %d", i, got, want)
-				}
-				r := stepReward(got, i)
-				fast.Reward(r)
-				slow.Reward(r)
-			}
-			if !reflect.DeepEqual(fast.Rewards(), slow.Rewards()) ||
-				!reflect.DeepEqual(fast.Counts(), slow.Counts()) {
-				t.Fatal("fast-path and interface-path tables diverged")
-			}
-			if fast.Restarts() != slow.Restarts() {
-				t.Fatalf("restarts: fast %d, interface %d", fast.Restarts(), slow.Restarts())
-			}
-		})
-	}
-}
-
 // TestBatchKernelsMatchScalarLoop drives one slab through the batch
 // kernels and a twin population of standalone agents through scalar
 // Step/Reward, with identical rewards.
@@ -178,6 +77,7 @@ func TestBatchKernelsMatchScalarLoop(t *testing.T) {
 	const arms, pop, steps = 6, 16, 200
 	sl := MustNewSlab(arms, pop)
 	twins := make([]*Agent, pop)
+	agents := make([]*Agent, pop)
 	slots := make([]int32, pop)
 	batchArms := make([]int32, pop)
 	rewards := make([]float64, pop)
@@ -189,11 +89,11 @@ func TestBatchKernelsMatchScalarLoop(t *testing.T) {
 		if i%3 == 2 {
 			cfg.Policy = NewUCB(0.25)
 		}
-		_, slot, err := sl.Alloc(cfg)
+		a, slot, err := sl.Alloc(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots[i] = int32(slot)
+		agents[i], slots[i] = a, int32(slot)
 		cfgTwin := cfg
 		cfgTwin.Policy = clonePolicy(t, cfg.Policy)
 		twins[i] = MustNew(cfgTwin)
@@ -211,7 +111,7 @@ func TestBatchKernelsMatchScalarLoop(t *testing.T) {
 		sl.RewardBatch(slots, rewards)
 	}
 	for i, tw := range twins {
-		a := sl.Agent(int(slots[i]))
+		a := agents[i]
 		if !reflect.DeepEqual(a.Rewards(), tw.Rewards()) || !reflect.DeepEqual(a.Counts(), tw.Counts()) {
 			t.Fatalf("slot %d: batch-driven tables diverged from scalar twin", i)
 		}
@@ -235,49 +135,8 @@ func clonePolicy(t *testing.T, p Policy) Policy {
 	}
 }
 
-// TestRestoreAgentInContinuesStream checks that an agent restored from
-// a snapshot continues the original agent's exact decision stream for
-// every slab policy configuration.
-func TestRestoreAgentInContinuesStream(t *testing.T) {
-	for name, cfg := range slabPolicies() {
-		t.Run(name, func(t *testing.T) {
-			orig := MustNew(cfg)
-			drive(orig, 0, 50)
-			snap, err := orig.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored, err := RestoreAgent(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(drive(orig, 50, 80), drive(restored, 50, 80)) {
-				t.Fatal("restored agent diverged from original")
-			}
-		})
-	}
-}
-
-func TestSlabResetKeepsSlot(t *testing.T) {
-	sl := MustNewSlab(4, 2)
-	cfg := Config{Arms: 4, Policy: NewDUCB(PrefetchC, PrefetchGamma), Seed: 5}
-	a, slot, err := sl.Alloc(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := drive(a, 0, 30)
-	a.Reset()
-	if got := drive(a, 0, 30); !reflect.DeepEqual(got, first) {
-		t.Fatal("Reset did not reproduce the original stream")
-	}
-	if sl.Agent(slot) != a {
-		t.Fatal("Reset moved the agent out of its slot")
-	}
-}
-
 // TestBatchKernelsAllocFree pins the steady-state allocation count of
-// the batch kernels at zero (PR 5 discipline, extended to the batch
-// plane). The population is past its initial round-robin phase, so the
+// the batch kernels at zero. The population is past its initial round-robin phase, so the
 // sweep exercises the real policy arithmetic.
 func TestBatchKernelsAllocFree(t *testing.T) {
 	const arms, pop = 8, 64

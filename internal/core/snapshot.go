@@ -187,9 +187,10 @@ func restorePolicy(s PolicySnapshot, arms int) (Policy, error) {
 
 // AgentSnapshot is the full serialized state of an Agent. Table and trace
 // slices are deep copies; mutating the snapshot never aliases live agent
-// state. The runtime wiring that cannot meaningfully cross a process
-// boundary — the telemetry Recorder and a Coordinator's restart-permission
-// hook — is deliberately absent: re-attach both after Restore.
+// state. The telemetry Recorder cannot meaningfully cross a process
+// boundary, so it is deliberately absent: re-attach it after Restore.
+// Forced lists the arms still pending in a round-robin sweep, which are
+// always the tail Arms-k..Arms-1 of the sweep.
 type AgentSnapshot struct {
 	V int `json:"v"`
 
@@ -239,7 +240,7 @@ func (a *Agent) Snapshot() (*AgentSnapshot, error) {
 		Steps:         a.steps,
 		CurrentArm:    a.currentArm,
 		InStep:        a.inStep,
-		Forced:        append([]int(nil), a.forced...),
+		Forced:        a.pendingSweep(),
 		RAvg:          a.rAvg,
 		Normalized:    a.normalized,
 		Restarts:      a.restarts,
@@ -267,9 +268,12 @@ func (s *AgentSnapshot) validate() error {
 	if s.CurrentArm < 0 || s.CurrentArm >= s.Arms {
 		return snapErrf("current arm %d outside [0,%d)", s.CurrentArm, s.Arms)
 	}
-	for _, f := range s.Forced {
-		if f < 0 || f >= s.Arms {
-			return snapErrf("forced arm %d outside [0,%d)", f, s.Arms)
+	if len(s.Forced) > s.Arms {
+		return snapErrf("%d forced arms for %d arms", len(s.Forced), s.Arms)
+	}
+	for i, f := range s.Forced {
+		if f != s.Arms-len(s.Forced)+i {
+			return snapErrf("forced arms %v are not the tail of a round-robin sweep over %d arms", s.Forced, s.Arms)
 		}
 	}
 	for _, t := range s.Trace {
@@ -287,8 +291,8 @@ func (s *AgentSnapshot) validate() error {
 // continues exactly where the snapshot was taken: the same future arm
 // choices, the same RNG stream, the same pending protocol state (a
 // snapshot taken between Step and Reward restores with the step still
-// open). Telemetry recorders and coordinator hooks are not part of the
-// snapshot; re-attach them afterwards.
+// open). Telemetry recorders are not part of the snapshot; re-attach
+// them afterwards.
 func RestoreAgent(s *AgentSnapshot) (*Agent, error) {
 	if s == nil {
 		return nil, snapErrf("nil snapshot")
@@ -328,11 +332,21 @@ func (a *Agent) loadState(s *AgentSnapshot) {
 	a.steps = s.Steps
 	a.currentArm = s.CurrentArm
 	a.inStep = s.InStep
-	a.forced = append(a.forced[:0], s.Forced...)
+	a.sweep = s.Arms - len(s.Forced)
 	a.rAvg = s.RAvg
 	a.normalized = s.Normalized
 	a.trace = append([]int(nil), s.Trace...)
 	a.restarts = s.Restarts
+}
+
+// pendingSweep lists the arms still pending in the current round-robin
+// sweep (nil when none is).
+func (a *Agent) pendingSweep() []int {
+	var arms []int
+	for arm := a.sweep; arm < a.cfg.Arms; arm++ {
+		arms = append(arms, arm)
+	}
+	return arms
 }
 
 // RestoreAgentJSON decodes a JSON-encoded AgentSnapshot and restores the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"microbandit/internal/xrand"
@@ -284,6 +285,19 @@ func TestRestoreTypedErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("forced arms not a sweep tail", func(t *testing.T) {
+		// A sweep runs the arms in order, so the pending forced arms of
+		// a 3-arm agent are {}, {2}, {1,2} or {0,1,2}.
+		for _, forced := range [][]int{{0, 1}, {2, 1}, {1}, {0, 0, 1, 2}} {
+			s := *snap
+			s.Forced = forced
+			var se *SnapshotError
+			if _, err := RestoreAgent(&s); !errors.As(err, &se) {
+				t.Errorf("forced %v: want *SnapshotError, got %v", forced, err)
+			}
+		}
+	})
+
 	t.Run("huge arm count", func(t *testing.T) {
 		// The arm count sizes the restored agent's tables; an
 		// inconsistent one must be rejected before anything is sized.
@@ -405,4 +419,81 @@ func FuzzAgentSnapshotCodec(f *testing.F) {
 			t.Fatalf("re-restore of accepted input: %v", err)
 		}
 	})
+}
+
+// TestRestoreAgentContinuesStream checks that an agent restored from a
+// snapshot continues the original agent's exact decision stream for
+// every configuration of the equivalence matrix.
+func TestRestoreAgentContinuesStream(t *testing.T) {
+	for name, cfg := range policyConfigs() {
+		t.Run(name, func(t *testing.T) {
+			orig := MustNew(cfg)
+			drive(orig, 0, 50)
+			snap, err := orig.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := RestoreAgent(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(drive(orig, 50, 80), drive(restored, 50, 80)) {
+				t.Fatal("restored agent diverged from original")
+			}
+		})
+	}
+}
+
+// TestSnapshotEveryStepThroughSweeps snapshots an agent before and inside
+// every step of its initial round-robin phase and of its §4.3 restart
+// sweeps, and checks that each restored agent continues the original
+// arm stream to the end.
+func TestSnapshotEveryStepThroughSweeps(t *testing.T) {
+	const arms, steps = 4, 80
+	cfg := func() Config {
+		return Config{Arms: arms, Policy: NewDUCB(0.05, 0.99), Normalize: true, RRRestartProb: 0.2, Seed: 8}
+	}
+	want := drive(MustNew(cfg()), 0, steps)
+
+	// check restores s and drives it from step i (with its step already
+	// open when open is set) to the end of the reference stream.
+	check := func(s *AgentSnapshot, i int, open bool) {
+		t.Helper()
+		r, err := RestoreAgent(s)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		got, next := []int{}, i
+		if open {
+			got = append(got, r.CurrentArm())
+			r.Reward(stepReward(r.CurrentArm(), i))
+			next++
+		}
+		got = append(got, drive(r, next, steps-next)...)
+		if !reflect.DeepEqual(got, want[len(want)-len(got):]) {
+			t.Fatalf("restored at step %d (open %v): arms %v, want %v", i, open, got, want[len(want)-len(got):])
+		}
+	}
+	a := MustNew(cfg())
+	restartSnaps := 0
+	for i := 0; i < steps; i++ {
+		before, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(before, i, false)
+		arm := a.Step()
+		mid, err := a.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mid.Steps >= arms && len(mid.Forced) > 0 {
+			restartSnaps++
+		}
+		check(mid, i, true)
+		a.Reward(stepReward(arm, i))
+	}
+	if a.Restarts() == 0 || restartSnaps == 0 {
+		t.Fatalf("no snapshot inside a restart sweep (restarts %d)", a.Restarts())
+	}
 }

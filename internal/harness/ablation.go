@@ -99,22 +99,19 @@ func AblationRRRestart(o Options) AblationResult {
 		instsPerCore = 50_000
 	}
 	// One job is one full 4-core simulation: its cores share an LLC/DRAM
-	// pool (and possibly a Coordinator), so they stay on one goroutine.
-	run4 := func(app trace.App, prob float64, coordinated bool) float64 {
+	// pool, so they stay on one goroutine.
+	run4 := func(app trace.App, prob float64) float64 {
 		shared := mem.NewShared(memCfg, 4)
-		coord := core.NewCoordinator()
 		runners := make([]*cpu.Runner, 0, 4)
 		for coreID := 0; coreID < 4; coreID++ {
+			// The "false" part keeps the seeds of the rows from when this
+			// ablation also ran a coordinated variant.
 			seed := o.subSeed("abl-rr", app.Name, fmt.Sprint(coreID),
-				fmt.Sprint(prob), fmt.Sprint(coordinated))
+				fmt.Sprint(prob), "false")
 			hier := mem.NewCoreHierarchy(memCfg, shared)
 			c := cpu.New(cpu.DefaultConfig(), hier, o.gen(app.New(seed), seed))
 			ens := prefetch.NewTable7Ensemble()
 			ctrl := ducbRR(ens.NumArms(), seed, prob)
-			if coordinated {
-				// §8 future work: serialize sibling exploration.
-				coord.Add(ctrl)
-			}
 			r := cpu.NewRunner(c, ens, ctrl, ens)
 			r.StepL2 = o.StepL2
 			runners = append(runners, r)
@@ -123,14 +120,12 @@ func AblationRRRestart(o Options) AblationResult {
 	}
 
 	configs := []struct {
-		label       string
-		prob        float64
-		coordinated bool
+		label string
+		prob  float64
 	}{
-		{"rr_restart_prob = 0", 0, false},
-		{"rr_restart_prob = 0.001", core.RRRestartProb4Core, false},
-		{"rr_restart_prob = 0.01", 0.01, false},
-		{"rr_restart_prob = 0.01, coordinated", 0.01, true},
+		{"rr_restart_prob = 0", 0},
+		{"rr_restart_prob = 0.001", core.RRRestartProb4Core},
+		{"rr_restart_prob = 0.01", 0.01},
 	}
 	type job struct{ cfgIdx, appIdx int }
 	jobs := make([]job, 0, len(configs)*len(apps))
@@ -141,7 +136,7 @@ func AblationRRRestart(o Options) AblationResult {
 	}
 	sums := runJobs(o, jobs, func(j job) float64 {
 		cfg := configs[j.cfgIdx]
-		return run4(apps[j.appIdx], cfg.prob, cfg.coordinated)
+		return run4(apps[j.appIdx], cfg.prob)
 	})
 
 	rows := make([]AblationRow, 0, len(configs))
@@ -152,7 +147,7 @@ func AblationRRRestart(o Options) AblationResult {
 		})
 	}
 	return AblationResult{
-		Title:  "Ablation: round-robin restart under 4-core interference (§4.3 mod 2 + §8 coordination)",
+		Title:  "Ablation: round-robin restart under 4-core interference (§4.3 mod 2)",
 		Metric: "gmean sum-IPC",
 		Rows:   rows,
 	}

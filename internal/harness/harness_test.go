@@ -360,7 +360,7 @@ func TestAblationRRRestartRuns(t *testing.T) {
 	o.MaxApps = 1
 	o.Insts = 200_000
 	r := AblationRRRestart(o)
-	if len(r.Rows) != 4 {
+	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for _, row := range r.Rows {

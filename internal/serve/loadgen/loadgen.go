@@ -16,12 +16,10 @@
 // kernel — which is the configuration the benchmark's serve-batch
 // workload (bench/serve.go) uses.
 //
-// The workers follow the single-node sequence protocol: a step that
-// bounces off a decision this client never closed (typed 409 step_open)
-// is resolved by reading the open decision back through
-// GET /v1/sessions/{id} and rewarding it; a stale reward (no_open_step,
-// seq_mismatch) is dropped. Those recoveries count as Resyncs; any other
-// non-200 response counts as an error.
+// Each worker owns its sessions, so no other client can open or close
+// their decisions. A non-200 response or a per-op batch error therefore
+// means the server is at fault: it counts as an error and drops the
+// pending decision.
 package loadgen
 
 import (
@@ -117,15 +115,13 @@ type Result struct {
 	// mode, where a decision takes a step and a reward request).
 	P50PerDecisionUs float64 `json:"p50_per_decision_us"`
 	P99PerDecisionUs float64 `json:"p99_per_decision_us"`
-	// Errors counts unexpected failures: non-2xx responses and per-op
-	// batch errors other than the sequence-protocol resyncs below. A
-	// healthy run ends with 0.
+	// Errors counts failures: non-200 responses, per-op batch errors and
+	// malformed batch responses. A healthy run ends with 0.
 	Errors int64 `json:"errors"`
-	// Retries stays in the result schema for its readers; nothing in
-	// this package produces it any more, so it is always 0.
+	// Retries and Resyncs stay in the result schema for their readers;
+	// nothing in this package produces them any more, so both are
+	// always 0.
 	Retries int64 `json:"retries"`
-	// Resyncs counts sequence-protocol recoveries: open decisions read
-	// back and rewarded, and stale rewards dropped.
 	Resyncs int64 `json:"resyncs"`
 	// Samples is the number of latency samples behind the percentiles.
 	Samples int64 `json:"samples"`
@@ -206,7 +202,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		res.Decisions += w.decisions
 		res.Requests += w.requests
 		res.Errors += w.errors
-		res.Resyncs += w.resyncs
 		hist.merge(&w.hist)
 	}
 	res.Samples = hist.count
@@ -257,11 +252,6 @@ type worker struct {
 	ids      []string
 	pend     []pending
 	batchReq *http.Request
-	// Per-round bookkeeping for error recovery: which session each
-	// reward op belongs to, and which sessions need their open decision
-	// read back after the round.
-	rewardIdx []int
-	needInfo  []bool
 
 	body   memBody
 	reqBuf []byte
@@ -270,7 +260,6 @@ type worker struct {
 	decisions int64
 	requests  int64
 	errors    int64
-	resyncs   int64
 	hist      histogram
 }
 
@@ -377,10 +366,7 @@ func newWorker(h http.Handler, spec serve.Spec, idx int) (*worker, error) {
 // newBatchWorker creates a worker owning batch sessions, all driven
 // through /v1/batch.
 func newBatchWorker(h http.Handler, spec serve.Spec, idx, batch int) (*worker, error) {
-	w := &worker{
-		h: h, ids: make([]string, batch), pend: make([]pending, batch),
-		rewardIdx: make([]int, 0, batch), needInfo: make([]bool, batch),
-	}
+	w := &worker{h: h, ids: make([]string, batch), pend: make([]pending, batch)}
 	for j := range w.ids {
 		sp := spec
 		sp.Seed = spec.Seed*100_000 + uint64(idx*batch+j) + 1
@@ -396,43 +382,9 @@ func newBatchWorker(h http.Handler, spec serve.Spec, idx, batch int) (*worker, e
 	return w, nil
 }
 
-// errCode extracts the typed code from a serve error envelope (cold
-// path; allocation is fine here).
-func errCode(body []byte) string {
-	var eb struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(body, &eb) != nil {
-		return ""
-	}
-	return eb.Error.Code
-}
-
-// sessionInfo reads a session's current protocol state.
-func sessionInfo(h http.Handler, id string) (seq uint64, open bool, arm int, code int) {
-	req := httptest.NewRequest("GET", "/v1/sessions/"+id, nil)
-	rw := httptest.NewRecorder()
-	h.ServeHTTP(rw, req)
-	if rw.Code != http.StatusOK {
-		return 0, false, 0, rw.Code
-	}
-	var info struct {
-		Seq  uint64 `json:"seq"`
-		Open bool   `json:"open"`
-		Arm  int    `json:"arm"`
-	}
-	if json.Unmarshal(rw.Body.Bytes(), &info) != nil {
-		return 0, false, 0, http.StatusInternalServerError
-	}
-	return info.Seq, info.Open, info.Arm, http.StatusOK
-}
-
 // runScalar is the scalar closed loop. It checks ctx between decisions,
 // not between the step and its reward, so a canceled run never leaves
-// the session with an open decision. A step that bounces off an open
-// decision resyncs the sequence protocol; any other failure is an error.
+// the session with an open decision. Any failure is an error.
 func (w *worker) runScalar(ctx context.Context) {
 	var stepResp struct {
 		Seq uint64 `json:"seq"`
@@ -441,11 +393,7 @@ func (w *worker) runScalar(ctx context.Context) {
 	for ctx.Err() == nil {
 		recording := w.rec.Load()
 		body, code := w.do(w.stepReq, recording)
-		if code != http.StatusOK {
-			w.recoverScalar(body, code, recording)
-			continue
-		}
-		if err := json.Unmarshal(body, &stepResp); err != nil {
+		if code != http.StatusOK || json.Unmarshal(body, &stepResp) != nil {
 			if recording {
 				w.errors++
 			}
@@ -471,39 +419,13 @@ func (w *worker) rewardScalar(seq uint64, arm int, recording bool) bool {
 	w.reqBuf = b
 	w.body.reset(b)
 	_, code := w.do(w.rewardReq, recording)
-	if code == http.StatusOK {
-		return true
-	}
-	if recording {
-		if code == http.StatusConflict {
-			// no_open_step / seq_mismatch: the next step (or its step_open
-			// recovery) resolves it.
-			w.resyncs++
-		} else {
-			w.errors++
-		}
-	}
-	return false
-}
-
-// recoverScalar resolves a failed step request.
-func (w *worker) recoverScalar(body []byte, code int, recording bool) {
-	if code != http.StatusConflict || errCode(body) != serve.CodeStepOpen {
+	if code != http.StatusOK {
 		if recording {
 			w.errors++
 		}
-		return
+		return false
 	}
-	// A decision is open server-side that this client never saw the
-	// reward ack for. Read it back and reward it with the same
-	// deterministic function — the stream continues byte-identically.
-	seq, open, arm, st := sessionInfo(w.h, w.id)
-	if st == http.StatusOK && open {
-		w.rewardScalar(seq, arm, recording)
-	}
-	if recording {
-		w.resyncs++
-	}
+	return true
 }
 
 // runBatch is the batch closed loop: one request per round carrying the
@@ -514,8 +436,7 @@ func (w *worker) runBatch(ctx context.Context) {
 	for ctx.Err() == nil {
 		recording := w.rec.Load()
 		b := append(w.reqBuf[:0], `{"ops":[`...)
-		n := 0
-		w.rewardIdx = w.rewardIdx[:0]
+		n, nRewards := 0, 0
 		for j := range w.ids {
 			p := &w.pend[j]
 			if !p.has {
@@ -532,9 +453,8 @@ func (w *worker) runBatch(ctx context.Context) {
 			b = strconv.AppendFloat(b, syntheticReward(p.arm, p.seq), 'g', -1, 64)
 			b = append(b, '}')
 			n++
-			w.rewardIdx = append(w.rewardIdx, j)
+			nRewards++
 		}
-		nRewards := len(w.rewardIdx)
 		for j := range w.ids {
 			if n > 0 {
 				b = append(b, ',')
@@ -549,34 +469,10 @@ func (w *worker) runBatch(ctx context.Context) {
 		w.body.reset(b)
 		body, code := w.do(w.batchReq, recording)
 		if code != http.StatusOK {
-			if recording {
-				w.errors++
-			}
+			w.batchDesync(recording)
 			continue
 		}
 		w.applyBatchResults(body, nRewards, recording)
-		w.resolveBatch(recording)
-	}
-}
-
-// resolveBatch reads back the open decisions of sessions whose step
-// bounced off one this client never closed, so the next round rewards
-// them deterministically.
-func (w *worker) resolveBatch(recording bool) {
-	for j := range w.ids {
-		if !w.needInfo[j] {
-			continue
-		}
-		w.needInfo[j] = false
-		seq, open, arm, st := sessionInfo(w.h, w.ids[j])
-		if st == http.StatusOK && open {
-			w.pend[j] = pending{has: true, seq: seq, arm: arm}
-		} else {
-			w.pend[j].has = false
-		}
-		if recording {
-			w.resyncs++
-		}
 	}
 }
 
@@ -643,9 +539,15 @@ func (w *worker) applyBatchResults(body []byte, nRewards int, recording bool) {
 				w.batchDesync(recording)
 				return
 			}
-			code := batchErrCodeAt(body, pos)
 			pos = end
-			w.classifyOpError(ri, nRewards, code, recording)
+			// A failed step leaves its session with no decision to
+			// reward; a failed reward's session is settled by its step.
+			if j := ri - nRewards; j >= 0 && j < len(w.pend) {
+				w.pend[j].has = false
+			}
+			if recording {
+				w.errors++
+			}
 		default:
 			w.batchDesync(recording)
 			return
@@ -653,67 +555,9 @@ func (w *worker) applyBatchResults(body []byte, nRewards int, recording bool) {
 	}
 }
 
-// classifyOpError sorts one per-op batch error into the recovery it
-// calls for. Result ri is a reward op when ri < nRewards (its session is
-// rewardIdx[ri]), a step op for session ri - nRewards otherwise.
-func (w *worker) classifyOpError(ri, nRewards int, code string, recording bool) {
-	var j int
-	isReward := ri < nRewards
-	if isReward {
-		if ri >= len(w.rewardIdx) {
-			return
-		}
-		j = w.rewardIdx[ri]
-	} else {
-		j = ri - nRewards
-		if j >= len(w.ids) {
-			return
-		}
-	}
-	switch code {
-	case serve.CodeStepOpen:
-		// A step bounced off an open decision this client never closed.
-		// Re-read and reward it after the round.
-		w.needInfo[j] = true
-	case serve.CodeNoOpenStep, serve.CodeSeqMismatch:
-		// A stale reward (duplicate delivery). Drop it; the step path
-		// re-learns the truth.
-		w.pend[j].has = false
-		if recording {
-			w.resyncs++
-		}
-	default:
-		w.pend[j].has = false
-		if recording {
-			w.errors++
-		}
-	}
-}
-
-// batchErrCodeAt extracts the code from an error result element without
-// allocating. It recognizes only the sequence-protocol codes the workers
-// recover from; every other code comes back as "".
-func batchErrCodeAt(b []byte, pos int) string {
-	const prefix = `{"error":{"code":"`
-	if !hasAt(b, pos, prefix) {
-		return ""
-	}
-	start := pos + len(prefix)
-	end := start
-	for end < len(b) && b[end] != '"' {
-		end++
-	}
-	for _, code := range [...]string{serve.CodeStepOpen, serve.CodeNoOpenStep, serve.CodeSeqMismatch} {
-		if end-start == len(code) && hasAt(b, start, code) {
-			return code
-		}
-	}
-	return ""
-}
-
-// batchDesync records a malformed or truncated batch response and drops
-// all pending state: better to restart the sessions' decision protocol
-// than to reward with stale sequence numbers.
+// batchDesync records a failed, malformed or truncated batch response
+// and drops all pending state: better to restart the sessions' decision
+// protocol than to reward with stale sequence numbers.
 func (w *worker) batchDesync(recording bool) {
 	if recording {
 		w.errors++

@@ -271,39 +271,44 @@ func TestZeroSampleRun(t *testing.T) {
 	}
 }
 
-// TestScalarResyncStepOpen: a decision opened behind the client's back
-// (a lost step response) is read back and rewarded — the closed loop
-// continues with a resync, not an error.
-func TestScalarResyncStepOpen(t *testing.T) {
-	srv := serve.New(serve.Config{})
-	var recording atomic.Bool
-	recording.Store(true)
-	w, err := newWorker(srv, serve.Spec{Algo: "ducb", Arms: 4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.rec = &recording
-	// Open a decision the worker never sees the response to.
-	req := httptest.NewRequest("POST", w.base+"/step", nil)
-	rw := httptest.NewRecorder()
-	srv.ServeHTTP(rw, req)
-	if rw.Code != http.StatusOK {
-		t.Fatalf("setup step: %d", rw.Code)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	w.runScalar(ctx)
-	if w.errors != 0 {
-		t.Fatalf("resync path recorded %d errors", w.errors)
-	}
-	if w.resyncs == 0 {
-		t.Fatal("open decision was never resynced")
-	}
-	if w.decisions == 0 {
-		t.Fatal("loop did not continue after the resync")
-	}
-	s, _ := srv.Store().Get(w.id)
-	if info, err := s.Info(); err != nil || info.Open {
-		t.Fatalf("session left open after resync loop: %+v, %v", info, err)
+// TestForeignDecisionCountsAsError: a decision opened behind a worker's
+// back is a fault the generator does not repair. In scalar mode every
+// step bounces off it; in batch mode that session's ops fail while the
+// worker's other sessions keep deciding. Both count errors.
+func TestForeignDecisionCountsAsError(t *testing.T) {
+	for _, batch := range []int{0, 2} {
+		srv := serve.New(serve.Config{})
+		spec := serve.Spec{Algo: "ducb", Arms: 4}
+		var w *worker
+		var err error
+		if batch > 0 {
+			w, err = newBatchWorker(srv, spec, 0, batch)
+		} else {
+			w, err = newWorker(srv, spec, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recording atomic.Bool
+		recording.Store(true)
+		w.rec = &recording
+		id := w.id
+		if batch > 0 {
+			id = w.ids[0]
+		}
+		rw := httptest.NewRecorder()
+		srv.ServeHTTP(rw, httptest.NewRequest("POST", "/v1/sessions/"+id+"/step", nil))
+		if rw.Code != http.StatusOK {
+			t.Fatalf("batch %d: setup step: %d", batch, rw.Code)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		w.run(ctx)
+		cancel()
+		if w.errors == 0 {
+			t.Fatalf("batch %d: the foreign decision recorded no errors", batch)
+		}
+		if batch > 0 && w.decisions == 0 {
+			t.Fatalf("batch %d: the worker's other session made no decisions", batch)
+		}
 	}
 }
