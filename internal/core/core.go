@@ -181,7 +181,7 @@ func (a *Agent) init(cfg Config) {
 	*a = Agent{
 		cfg:    cfg,
 		tables: Tables{R: rn[:arms:arms], N: rn[arms:]},
-		rng:    *xrand.New(cfg.Seed),
+		rng:    xrand.Seeded(cfg.Seed),
 	}
 }
 
@@ -425,7 +425,7 @@ func (a *Agent) Reset() {
 	clear(a.tables.R)
 	clear(a.tables.N)
 	a.tables.NTotal = 0
-	a.rng = *xrand.New(a.cfg.Seed)
+	a.rng = xrand.Seeded(a.cfg.Seed)
 	a.steps = 0
 	a.currentArm = 0
 	a.inStep = false

@@ -480,12 +480,25 @@ func TestDevirtualizedDispatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestNewAllocs pins what one agent costs to build: the Agent record,
-// the one array holding both table rows, and the seeded RNG.
+// TestNewAllocs pins what one agent costs to build: the Agent record
+// and the one array holding both table rows. The RNG is seeded in place.
 func TestNewAllocs(t *testing.T) {
 	cfg := Config{Arms: PrefetchArms, Policy: NewDUCB(PrefetchC, PrefetchGamma), Normalize: true, Seed: 1}
 	allocs := testing.AllocsPerRun(100, func() { MustNew(cfg) })
-	if allocs > 3 {
-		t.Fatalf("New of an %d-arm DUCB agent makes %v allocations, want <= 3", cfg.Arms, allocs)
+	if allocs > 2 {
+		t.Fatalf("New of an %d-arm DUCB agent makes %v allocations, want <= 2", cfg.Arms, allocs)
+	}
+}
+
+// TestResetAllocs: Reset clears the tables in place and re-seeds the
+// RNG by value, so it allocates nothing.
+func TestResetAllocs(t *testing.T) {
+	a := MustNew(Config{Arms: PrefetchArms, Policy: NewDUCB(PrefetchC, PrefetchGamma), Normalize: true, Seed: 1})
+	for range 50 {
+		a.Step()
+		a.Reward(0.5)
+	}
+	if allocs := testing.AllocsPerRun(100, a.Reset); allocs != 0 {
+		t.Fatalf("Agent.Reset makes %v allocations, want 0", allocs)
 	}
 }

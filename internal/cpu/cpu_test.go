@@ -371,3 +371,21 @@ func TestRunnerHonorsTargetAware(t *testing.T) {
 		t.Error("LLC-only prefetching produced no timely prefetches")
 	}
 }
+
+// TestRunnerRebindsL2Pf: L2Pf is a public field, so a prefetcher set
+// after NewRunner must still have its optional interfaces honored once
+// Run starts.
+func TestRunnerRebindsL2Pf(t *testing.T) {
+	c := newCore(&streamGen{aluPer: 15})
+	r := NewRunner(c, prefetch.Null{}, nil, nil)
+	ext := prefetch.NewExtendedEnsemble()
+	ext.Apply(12) // stream degree 15, LLC-only
+	r.L2Pf = ext
+	r.Run(300_000)
+	if c.Hier().LLC().Stats().PrefFills == 0 {
+		t.Fatal("no LLC prefetch fills under an LLC-only arm set after NewRunner")
+	}
+	if n := c.Hier().L2().Stats().PrefFills; n != 0 {
+		t.Errorf("L2 received %d prefetch fills under an LLC-only arm set after NewRunner", n)
+	}
+}

@@ -65,6 +65,12 @@ type Runner struct {
 	bwLastBusy  float64
 	bwLastCycle int64
 
+	// l2Target and l2BW are L2Pf's optional interfaces, nil when it
+	// lacks one. bindL2 resolves them at every Run/RunCtx entry, since
+	// L2Pf is a public field a caller may set between runs.
+	l2Target prefetch.TargetAware
+	l2BW     prefetch.BandwidthAware
+
 	// sigLast is the counter snapshot the next context signature diffs
 	// against. Only maintained when Ctrl implements core.ContextSetter.
 	sigLast obsBaseline
@@ -143,7 +149,14 @@ func NewRunner(c *Core, l2pf prefetch.Prefetcher, ctrl core.Controller, tun Actu
 		pendingArm:    -1,
 	}
 	c.OnL2Access = r.onL2Access
+	r.bindL2()
 	return r
+}
+
+// bindL2 resolves L2Pf's optional interfaces for onL2Access.
+func (r *Runner) bindL2() {
+	r.l2Target, _ = r.L2Pf.(prefetch.TargetAware)
+	r.l2BW, _ = r.L2Pf.(prefetch.BandwidthAware)
 }
 
 // RecordArms enables the exploration trace.
@@ -154,6 +167,7 @@ func (r *Runner) Steps() int64 { return r.rewardCount }
 
 // Run simulates n instructions, driving the bandit protocol.
 func (r *Runner) Run(n int64) {
+	r.bindL2()
 	r.primeFirstArm()
 	r.Core.RunInsts(n)
 }
@@ -169,6 +183,7 @@ const runCtxChunk = 100_000
 // trace, telemetry) remain valid for the instructions that did run, so
 // callers can report partial results after an interrupt.
 func (r *Runner) RunCtx(ctx context.Context, n int64) error {
+	r.bindL2()
 	r.primeFirstArm()
 	for n > 0 {
 		if err := ctx.Err(); err != nil {
@@ -251,7 +266,7 @@ func (r *Runner) onL2Access(pc, addr uint64, hit bool, cycle int64) {
 	ev := prefetch.Event{PC: pc, Addr: addr, Hit: hit, Cycle: cycle}
 	if r.L2Pf != nil {
 		target := mem.PrefToL2
-		if ta, ok := r.L2Pf.(prefetch.TargetAware); ok && ta.LLCOnly() {
+		if r.l2Target != nil && r.l2Target.LLCOnly() {
 			target = mem.PrefToLLC // §9 target-cache-level extension
 		}
 		r.pfBuf = r.L2Pf.Operate(ev, r.pfBuf[:0])
@@ -268,14 +283,14 @@ func (r *Runner) onL2Access(pc, addr uint64, hit bool, cycle int64) {
 
 	// Feed DRAM bandwidth utilization to bandwidth-aware prefetchers
 	// (Pythia) over a sliding window.
-	if ba, ok := r.L2Pf.(prefetch.BandwidthAware); ok && cycle > r.bwLastCycle+1024 {
+	if r.l2BW != nil && cycle > r.bwLastCycle+1024 {
 		busy := r.Hier.DRAM().BusyCycles()
 		window := float64(cycle - r.bwLastCycle)
 		util := (busy - r.bwLastBusy) / window
 		if util > 1 {
 			util = 1
 		}
-		ba.SetBandwidthUtil(util)
+		r.l2BW.SetBandwidthUtil(util)
 		r.bwLastBusy, r.bwLastCycle = busy, cycle
 	}
 

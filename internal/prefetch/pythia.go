@@ -47,24 +47,16 @@ const (
 	pythiaEpsilon         = 0.02
 )
 
-// pythiaPending tracks an issued prefetch awaiting its outcome.
-type pythiaPending struct {
-	line   uint64
-	state  int
-	action int
-	cycle  int64
-}
-
 // pythiaEQCap bounds the evaluation queue; overflowing entries resolve as
-// inaccurate.
+// inaccurate, oldest first.
 const pythiaEQCap = 192
 
 // Pythia is the MDP-RL prefetcher.
 type Pythia struct {
 	q       [][]float32 // action values [state][action]
-	rng     *xrand.Rand
+	rng     xrand.Rand
 	bwUtil  float64
-	eq      []pythiaPending
+	eq      evalQueue
 	actHist [pythiaNumActions]int64 // selection frequency (Fig. 2 data)
 
 	lastLine   uint64
@@ -75,7 +67,7 @@ type Pythia struct {
 
 // NewPythia builds a Pythia agent with the given seed.
 func NewPythia(seed uint64) *Pythia {
-	p := &Pythia{rng: xrand.New(seed)}
+	p := &Pythia{rng: xrand.Seeded(seed)}
 	p.q = make([][]float32, pythiaNumStates)
 	for i := range p.q {
 		p.q[i] = make([]float32, pythiaNumActions)
@@ -156,17 +148,15 @@ func (p *Pythia) update(s, a int, r float64, s2, a2 int) {
 func (p *Pythia) Operate(ev Event, buf []uint64) []uint64 {
 	line := ev.Addr >> 6
 
-	// Resolve any pending prefetch covering this demand access: accurate.
-	for i := 0; i < len(p.eq); i++ {
-		if p.eq[i].line == line {
-			e := p.eq[i]
-			r := pythiaRAccurateTimely
-			if ev.Cycle-e.cycle < 200 { // demanded almost immediately: late
-				r = pythiaRAccurateLate
-			}
-			p.resolve(i, r)
-			i--
+	// Resolve every pending prefetch covering this demand access, oldest
+	// first: accurate.
+	for s := p.eq.takeLine(line); s != noSlot; s = p.eq.ring[s].next {
+		e := &p.eq.ring[s]
+		r := pythiaRAccurateTimely
+		if ev.Cycle-e.cycle < 200 { // demanded almost immediately: late
+			r = pythiaRAccurateLate
 		}
+		p.resolve(e, r)
 	}
 
 	s := p.state(ev)
@@ -202,10 +192,10 @@ func (p *Pythia) Operate(ev Event, buf []uint64) []uint64 {
 		}
 		tl := uint64(target)
 		buf = append(buf, tl*LineSize)
-		if len(p.eq) >= pythiaEQCap {
-			p.resolve(0, p.inaccurateReward())
+		if p.eq.len() >= pythiaEQCap {
+			p.resolve(p.eq.popOldest(), p.inaccurateReward())
 		}
-		p.eq = append(p.eq, pythiaPending{line: tl, state: s, action: a, cycle: ev.Cycle})
+		p.eq.push(tl, s, a, ev.Cycle)
 	}
 	return buf
 }
@@ -219,13 +209,12 @@ func (p *Pythia) inaccurateReward() float64 {
 	return pythiaRInaccurate
 }
 
-// resolve applies the outcome reward for evaluation-queue entry i and
-// removes it.
-func (p *Pythia) resolve(i int, r float64) {
-	e := p.eq[i]
-	// Terminal-style update: the delayed outcome adjusts the pair directly.
-	p.q[e.state][e.action] += float32(pythiaAlpha * (r - float64(p.q[e.state][e.action])))
-	p.eq = append(p.eq[:i], p.eq[i+1:]...)
+// resolve applies the outcome reward for a removed evaluation-queue
+// entry. Terminal-style update: the delayed outcome adjusts the pair
+// directly.
+func (p *Pythia) resolve(e *pythiaPending, r float64) {
+	q := &p.q[e.state][e.action]
+	*q += float32(pythiaAlpha * (r - float64(*q)))
 }
 
 // Reset implements Prefetcher.
@@ -236,7 +225,7 @@ func (p *Pythia) Reset() {
 		}
 	}
 	p.initOptimisticNoPrefetch()
-	p.eq = nil
+	p.eq.reset()
 	p.lastLine = 0
 	p.primed = false
 	p.bwUtil = 0

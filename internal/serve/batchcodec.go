@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -248,12 +247,14 @@ func (p *batchParser) boolean() (bool, error) {
 }
 
 // The two canonical op spellings the batch clients emit, recognized by
-// opFast without the per-key dispatch loop.
-var (
-	opIDPrefix   = []byte(`{"id":`)
-	opStepSuffix = []byte(`,"step":true}`)
-	opSeqKey     = []byte(`,"seq":`)
-	opRewardKey  = []byte(`,"reward":`)
+// opFast without the per-key dispatch loop. opFast compares each one
+// written out against the constant, which compiles to a few word loads;
+// a helper taking the key as a parameter would call memequal instead.
+const (
+	opIDPrefix   = `{"id":`
+	opStepSuffix = `,"step":true}`
+	opSeqKey     = `,"seq":`
+	opRewardKey  = `,"reward":`
 )
 
 // opFast decodes the two canonical op shapes — {"id":"…","step":true}
@@ -266,7 +267,7 @@ var (
 func (p *batchParser) opFast(out *batchOp) bool {
 	start := p.pos
 	b := p.b
-	if !bytes.HasPrefix(b[p.pos:], opIDPrefix) {
+	if r := b[p.pos:]; len(r) < len(opIDPrefix) || string(r[:len(opIDPrefix)]) != opIDPrefix {
 		return false
 	}
 	p.pos += len(opIDPrefix)
@@ -276,18 +277,18 @@ func (p *batchParser) opFast(out *batchOp) bool {
 		return false
 	}
 	out.idOff, out.idEnd = int32(vs), int32(ve)
-	if bytes.HasPrefix(b[p.pos:], opStepSuffix) {
+	if r := b[p.pos:]; len(r) >= len(opStepSuffix) && string(r[:len(opStepSuffix)]) == opStepSuffix {
 		p.pos += len(opStepSuffix)
 		out.kind = opStep
 		return true
 	}
-	if !bytes.HasPrefix(b[p.pos:], opSeqKey) {
+	if r := b[p.pos:]; len(r) < len(opSeqKey) || string(r[:len(opSeqKey)]) != opSeqKey {
 		p.pos = start
 		return false
 	}
 	p.pos += len(opSeqKey)
 	n, err := p.uintToken()
-	if err != nil || !bytes.HasPrefix(b[p.pos:], opRewardKey) {
+	if r := b[p.pos:]; err != nil || len(r) < len(opRewardKey) || string(r[:len(opRewardKey)]) != opRewardKey {
 		p.pos = start
 		return false
 	}

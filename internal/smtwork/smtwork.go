@@ -143,7 +143,7 @@ func NewGen(p Profile, seed uint64) *Gen {
 	if p.DepDistMean < 1 {
 		p.DepDistMean = 8
 	}
-	g := &Gen{p: p, rng: *xrand.New(seed)}
+	g := &Gen{p: p, rng: xrand.Seeded(seed)}
 	ls := p.LoadFrac + p.StoreFrac
 	lsb := ls + p.BranchFrac
 	g.kindThr = [4]uint64{mixThreshold(p.LoadFrac), mixThreshold(ls),

@@ -193,9 +193,10 @@ func TestChunkSetGetRoundTrip(t *testing.T) {
 }
 
 // BenchmarkChunkFill measures the native fill kernel per instruction on a
-// compute-dense app (mostly filler) and a memory-dense one.
+// compute-dense app (mostly filler), a memory-dense one and a pointer
+// chase.
 func BenchmarkChunkFill(b *testing.B) {
-	for _, name := range []string{"cactuBSSN", "lbm17"} {
+	for _, name := range []string{"cactuBSSN", "lbm17", "canneal"} {
 		b.Run(name, func(b *testing.B) {
 			app, err := ByName(name)
 			if err != nil {

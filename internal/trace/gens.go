@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"slices"
+
 	"microbandit/internal/xrand"
 )
 
@@ -190,24 +192,28 @@ func StridePattern(strides []int, lapLines int, region int) memFunc {
 // random line. Spatial prefetchers gain almost nothing; aggressive
 // prefetching only burns bandwidth.
 func ChasePattern(wsLines int, region int) memFunc {
-	perm := ringPermutation(wsLines, uint64(region)*977+13)
-	cur := int32(0)
+	order := chaseOrder(wsLines, uint64(region)*977+13)
+	pos := 0
 	base := dataBase(region)
 	pc := uint64(fillerPCBase + 0x30000)
 	return func(rng *xrand.Rand, i *Inst) {
-		cur = perm[cur]
+		cur := order[pos]
+		if pos++; pos == len(order) {
+			pos = 0
+		}
 		i.PC = pc
 		i.Addr = base + uint64(cur)*LineSize
 		i.DependsOnPrev = true
 	}
 }
 
-// ringPermutation returns a permutation of [0,n) forming a single cycle
-// (Sattolo's algorithm), so a pointer chase visits every line. The
-// successor array is int32: the chase's random walk over it has no
-// locality, so halving its footprint halves the host cache pressure of
-// generating the trace (line indices are nowhere near 2^31).
-func ringPermutation(n int, seed uint64) []int32 {
+// chaseOrder returns the order in which a pointer chase that starts at
+// line 0 visits the lines of [0,n): a random single cycle (Sattolo's
+// algorithm), rotated to begin with line 0's successor and end with
+// line 0, so the chase reads it front to back instead of following a
+// successor array with a dependent random load per access. The array is
+// int32, half the footprint (line indices are nowhere near 2^31).
+func chaseOrder(n int, seed uint64) []int32 {
 	rng := xrand.New(seed)
 	items := make([]int32, n)
 	for i := range items {
@@ -217,13 +223,12 @@ func ringPermutation(n int, seed uint64) []int32 {
 		j := rng.Intn(i)
 		items[i], items[j] = items[j], items[i]
 	}
-	// items is now a cyclic order; build successor mapping.
-	next := make([]int32, n)
-	for i := 0; i < n-1; i++ {
-		next[items[i]] = items[i+1]
-	}
-	next[items[n-1]] = items[0]
-	return next
+	// items is a cyclic order; rotate it left past line 0.
+	k := slices.Index(items, 0) + 1
+	slices.Reverse(items[:k])
+	slices.Reverse(items[k:])
+	slices.Reverse(items)
+	return items
 }
 
 // GatherPattern models index-driven gathers (Ligra-style graph kernels):

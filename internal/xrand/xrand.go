@@ -24,7 +24,7 @@ import (
 
 // Rand is a deterministic pseudo-random number generator (xoshiro256**).
 // It is not safe for concurrent use; give each goroutine its own Rand.
-// The zero value is not usable; construct with New.
+// The zero value is not usable; construct with New or Seeded.
 type Rand struct {
 	s [4]uint64
 }
@@ -33,7 +33,14 @@ type Rand struct {
 // by the xoshiro authors. Two generators with the same seed produce
 // identical streams.
 func New(seed uint64) *Rand {
-	r := &Rand{}
+	r := Seeded(seed)
+	return &r
+}
+
+// Seeded is New by value, for a generator held inside another struct:
+// it allocates nothing and starts the same stream as New(seed).
+func Seeded(seed uint64) Rand {
+	var r Rand
 	sm := seed
 	for i := range r.s {
 		sm = splitMix64(&sm)
